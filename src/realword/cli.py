@@ -23,10 +23,9 @@ from .programs import ALL_PROGRAMS
 from .rationals import format_vec, parse_vec
 from .reduction import build_W, check_reduction, l_reachability_check, reduce_halting, w_membership
 from .sample_groups import BUILTIN_PRESENTATIONS, ORACLES
-from .selftest import ALL_CHECKS
+from .selftest import ALL_CHECKS, positive_sample, row_cases
 from .slp import PathEnumerator
-from .words import format_word, free_reduce, nielsen_decompose, parse_word
-from . import selftest as _selftest_mod
+from .words import encode_w, format_word, free_reduce, nielsen_decompose, parse_word
 
 
 def _load_program(spec: str):
@@ -40,6 +39,17 @@ def _load_presentation_arg(spec: str):
     if spec in BUILTIN_PRESENTATIONS:
         return BUILTIN_PRESENTATIONS[spec]()
     return load_presentation(spec)
+
+
+def _fuel(text: str) -> int:
+    """argparse type of every --fuel option: a natural number."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
 
 
 def _emit(records, fmt: str):
@@ -147,14 +157,13 @@ def cmd_figure1(args) -> int:
         print(f"unknown row {args.row!r}; choose from {sorted(kinds)}", file=sys.stderr)
         return 2
     kind = kinds[args.row]
-    from .words import encode_w
     bad = 0
     done = 0
     while done < args.samples:
-        D, cases = _selftest_mod._row_cases(rng)
+        D, cases = row_cases(rng)
         op = next(c for c in cases if c[0] == kind)
         spec = build_W(op, 0, D)
-        vec = _selftest_mod._positive_sample(spec, rng)
+        vec = positive_sample(spec, rng)
         done += 1
         ok = (spec.w_pred.eval(vec) and w_membership(spec, encode_w(vec))
               and l_reachability_check(spec, encode_w(vec)))
@@ -198,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="simulate a machine program")
     p.add_argument("program", help="assembly file or builtin name")
     p.add_argument("--input", default="", help="comma-separated rationals")
-    p.add_argument("--fuel", type=int, default=1000)
+    p.add_argument("--fuel", type=_fuel, default=1000)
     common(p)
     p.set_defaults(fn=cmd_run)
 
@@ -212,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wp", help="search a triviality certificate")
     p.add_argument("presentation", help="JSON file or builtin name")
     p.add_argument("--word", required=True)
-    p.add_argument("--fuel", type=int, default=100_000)
+    p.add_argument("--fuel", type=_fuel, default=100_000)
     p.add_argument("--cert-out", default="certificate.json")
     common(p)
     p.set_defaults(fn=cmd_wp)
@@ -233,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="halting query vs group membership")
     p.add_argument("program")
     p.add_argument("--input", default="")
-    p.add_argument("--fuel", type=int, default=10_000)
+    p.add_argument("--fuel", type=_fuel, default=10_000)
     common(p)
     p.set_defaults(fn=cmd_reduce)
 

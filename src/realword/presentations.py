@@ -34,7 +34,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .predicates import (Poly, Pred, TRUE, conj, const, eq,
                          shift_pred, solve_unknown, var)
-from .rationals import RatVec, enumerate_vectors, format_rat, parse_rat, unpair
+from .rationals import (RatVec, _nat_tuple, enumerate_vectors, format_rat,
+                        parse_rat, unpair)
 from .words import (EMPTY, GenSym, Word, concat, format_word, free_reduce,
                     intern_parts, invert, parse_word)
 
@@ -270,30 +271,12 @@ class _Streams:
         return Word.from_letters(letters)
 
 
-def _nat_tuple(d: int, m: int) -> tuple[int, ...]:
-    if d == 1:
-        return (m,)
-    a, b = unpair(m)
-    return (a,) + _nat_tuple(d - 1, b)
-
-
-_STREAMS: dict[int, tuple[Presentation, _Streams]] = {}
-
-
-def streams_for(p: Presentation) -> _Streams:
-    got = _STREAMS.get(id(p))
-    if got is None or got[0] is not p:
-        got = (p, _Streams(p))
-        _STREAMS[id(p)] = got
-    return got[1]
-
-
 _MAX_SCAN_CALLS = 500  # ~10^7 raw indices before an index is declared unreachable
 
 
 def enumerate_relators(p: Presentation, index: int) -> Word:
     """index-th relator instance in the frozen dovetail order."""
-    st = streams_for(p)
+    st = _Streams(p)
     for _ in range(_MAX_SCAN_CALLS):
         got = st.relator(index)
         if got is not None:
@@ -304,7 +287,7 @@ def enumerate_relators(p: Presentation, index: int) -> Word:
 
 
 def enumerate_conjugators(p: Presentation, index: int) -> Word:
-    st = streams_for(p)
+    st = _Streams(p)
     for _ in range(_MAX_SCAN_CALLS):
         got = st.conjugator(index)
         if got is not None:

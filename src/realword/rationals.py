@@ -148,16 +148,21 @@ def rational_index(x: Fraction) -> int:
 # -- enumeration of all finite rational vectors ------------------------------
 
 def _nat_tuple(d: int, m: int) -> tuple[int, ...]:
-    if d == 1:
-        return (m,)
-    a, b = unpair(m)
-    return (a,) + _nat_tuple(d - 1, b)
+    # m unpairs into (t_1, rest), rest into (t_2, rest'), ..., the last rest is t_d
+    out = []
+    for _ in range(d - 1):
+        a, m = unpair(m)
+        out.append(a)
+    out.append(m)
+    return tuple(out)
 
 
 def _nat_tuple_index(t: Sequence[int]) -> int:
-    if len(t) == 1:
-        return t[0]
-    return pair(t[0], _nat_tuple_index(t[1:]))
+    # inverse of _nat_tuple: pair(t_1, pair(t_2, ... pair(t_d-1, t_d)))
+    m = t[-1]
+    for i in range(len(t) - 2, -1, -1):
+        m = pair(t[i], m)
+    return m
 
 
 def enumerate_vectors(index: int) -> RatVec:
@@ -187,9 +192,3 @@ def vec_of_arity(arity: int, m: int) -> RatVec:
         return ()
     entries = _nat_tuple(arity, m)
     return tuple(enumerate_rationals(e) for e in entries)
-
-
-def vec_arity_index(v: Sequence[Fraction]) -> int:
-    if len(v) == 0:
-        return 0
-    return _nat_tuple_index([rational_index(x) for x in v])

@@ -190,14 +190,13 @@ def w_membership(spec: OpSubgroupSpec, w: Word) -> bool:
     return True
 
 
-def l_reachability_check(spec: OpSubgroupSpec, w: Word, budget: int = 0) -> bool:
+def l_reachability_check(spec: OpSubgroupSpec, w: Word) -> bool:
     """Is w in the conjugation orbit of the row's base word under its letters?
 
     Every row admits a direct coordinatewise solve (the pairings form a
     linear or multiplicative system with one parameter per group), so the
-    check needs no search and `budget` is accepted only for interface
-    stability.  The negative answer is decided by the row invariant the
-    letters preserve.
+    check needs no search.  The negative answer is decided by the row
+    invariant the letters preserve.
     """
     decomp = nielsen_decompose(w)
     if decomp is None or len(decomp) != 1 or decomp[0][0] != 1:
@@ -337,9 +336,6 @@ class UHandle:
                 return False
         return True
 
-    def tagged_factors(self, w: Word):
-        return nielsen_decompose(w, lo=0)
-
     def member_tagged(self, w: Word) -> bool:
         """Membership for tag-indexed pattern words; decidable given the tag.
 
@@ -347,7 +343,7 @@ class UHandle:
         the path accepts r; the tag pins the path down, so no fuel is
         involved.
         """
-        decomp = self.tagged_factors(w)
+        decomp = nielsen_decompose(w, lo=0)
         if decomp is None:
             return False
         for _, vec in decomp:

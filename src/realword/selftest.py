@@ -461,7 +461,11 @@ def check_certificate_roundtrip(seed: int) -> CheckResult:
 
 # -- 6: table coherence -------------------------------------------------------------
 
-def _row_cases(rng: random.Random):
+def row_cases(rng: random.Random):
+    """A random dimension and one operation of every table row over it.
+
+    Shared with `realword figure1`; the order of rng draws is frozen.
+    """
     D = rng.randint(3, 5)
     i = rng.randint(2, D)
     j = rng.randint(1, i - 1)
@@ -472,7 +476,8 @@ def _row_cases(rng: random.Random):
                ("geq", j), ("lt", j)]
 
 
-def _positive_sample(spec, rng: random.Random):
+def positive_sample(spec, rng: random.Random):
+    """A random input vector satisfying the row relation of `spec`."""
     D = spec.D
     vec = [_small_rat(rng) for _ in range(D)]
 
@@ -529,11 +534,11 @@ def check_table_coherence(seed: int) -> CheckResult:
         rows += 1
         pos = neg = 0
         while pos < 100 or neg < 20:
-            D, cases = _row_cases(rng)
+            D, cases = row_cases(rng)
             op = next(c for c in cases if c[0] == kind)
             spec = build_W(op, 0, D)
             if pos < 100:
-                vec = _positive_sample(spec, rng)
+                vec = positive_sample(spec, rng)
                 checked += 1
                 pos += 1
                 if not (spec.w_pred.eval(vec)
@@ -541,7 +546,7 @@ def check_table_coherence(seed: int) -> CheckResult:
                         and l_reachability_check(spec, encode_w(vec))):
                     bad += 1
             if neg < 20:
-                vec2 = _violate(spec, _positive_sample(spec, rng), rng)
+                vec2 = _violate(spec, positive_sample(spec, rng), rng)
                 if spec.w_pred.eval(vec2):
                     continue  # perturbation failed to violate; resample
                 checked += 1
@@ -712,12 +717,3 @@ ALL_CHECKS: list[Callable[[int], CheckResult]] = [
     check_matrix_relations,
     check_constant_hygiene,
 ]
-
-
-def run_all(seed: int, emit=print) -> bool:
-    ok = True
-    for check in ALL_CHECKS:
-        result = check(seed)
-        ok = ok and result.passed
-        emit(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}")
-    return ok

@@ -5,7 +5,7 @@ a fixed finite alphabet and the index is a finite rational vector; equality
 is structural, so x_(5) and x_(1/5) are unrelated generators (group inversion
 is not multiplicative inversion).  Words are stored as tuples of signed
 interned ids, which keeps free reduction and concatenation inside a small
-integer kernel; the compiled kernel is used when available.
+integer kernel.
 
 Besides reduction this module houses the conjugate "pattern" words
 
@@ -24,12 +24,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .rationals import RatVec, format_rat, parse_rat
 
-try:
-    from . import _kernel as _kern
-    KERNEL = "compiled"
-except ImportError:  # extension not built; identical pure-Python semantics
-    from . import _kernel_py as _kern
-    KERNEL = "pure-python"
+# the kernel is plain Python: free reduction is under a tenth of any
+# end-to-end workload, so a compiled build would not pay for itself
+KERNEL = "pure-python"
 
 FAMILIES = ("x", "y", "a", "m", "t", "s", "r", "aux")
 
@@ -137,21 +134,47 @@ def word(*letters: Letter) -> Word:
     return Word.from_letters(letters)
 
 
+# -- integer kernel: words as tuples of signed ids ------------------------------
+
+def _reduce_ids(ids) -> tuple:
+    # one stack scan cancels every adjacent inverse pair
+    stack: list[int] = []
+    push = stack.append
+    pop = stack.pop
+    for v in ids:
+        if stack and stack[-1] == -v:
+            pop()
+        else:
+            push(v)
+    return tuple(stack)
+
+
+def _concat_ids(a, b) -> tuple:
+    # both operands reduced: cancellation happens only across the junction
+    i = len(a)
+    j = 0
+    nb = len(b)
+    while i > 0 and j < nb and a[i - 1] == -b[j]:
+        i -= 1
+        j += 1
+    return tuple(a[:i]) + tuple(b[j:])
+
+
 def free_reduce(w: Word) -> Word:
     """The unique freely reduced word equal to w in the free group."""
-    return Word(_kern.reduce_ids(w._ids))
+    return Word(_reduce_ids(w._ids))
 
 
 def concat(*ws: Word) -> Word:
     """Freely reduced concatenation."""
     out: tuple[int, ...] = ()
     for w in ws:
-        out = _kern.concat_ids(out, _kern.reduce_ids(w._ids) if not w.is_reduced() else w._ids)
+        out = _concat_ids(out, _reduce_ids(w._ids) if not w.is_reduced() else w._ids)
     return Word(out)
 
 
 def invert(w: Word) -> Word:
-    return Word(_kern.invert_ids(w._ids))
+    return Word(tuple(-v for v in reversed(w._ids)))
 
 
 # -- text syntax: x(1,5)^-1 . y . x(1,5) -------------------------------------

@@ -117,3 +117,15 @@ def test_reduce_disagreement_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(reduction.UHandle, "member_within", broken)
     assert main(["reduce", "sign", "--input", "2", "--fuel", "500"]) == 1
     assert "agree=False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "sign", "--input", "1"],
+    ["wp", "torus", "--word", "x(1/2)"],
+    ["reduce", "sign", "--input", "2"],
+])
+def test_negative_fuel_is_a_usage_error(argv, capsys):
+    assert main(argv + ["--fuel", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--fuel: must be at least 0" in captured.err

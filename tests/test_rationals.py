@@ -124,3 +124,13 @@ def test_vec_of_arity():
         assert len(v) == 2
         seen.add(v)
     assert len(seen) == 500
+
+
+def test_deep_vector_round_trip():
+    # unpairing is iterative, so arities past the recursion limit work
+    for m in (0, 5, 123_456):
+        v = vec_of_arity(3000, m)
+        assert len(v) == 3000
+        assert enumerate_vectors(vector_index(v)) == v
+    zeros = (F(0),) * 1100
+    assert enumerate_vectors(vector_index(zeros)) == zeros

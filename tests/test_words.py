@@ -17,6 +17,14 @@ def rand_word(rng, gens, max_len=40):
 GENS = [GenSym("x", (F(k),)) for k in range(1, 8)] + [GenSym("y")]
 
 
+def test_reduce_is_stack_scan():
+    x, y, z = (GenSym("x", (F(k),)) for k in (1, 2, 3))
+    assert free_reduce(word((x, 1), (y, 1), (y, -1), (x, -1), (z, 1))) == word((z, 1))
+    # concatenation of reduced words cancels across the junction only
+    assert concat(word((x, 1), (y, 1)), word((y, -1), (z, 1))) == word((x, 1), (z, 1))
+    assert invert(word((x, 1), (y, -1))) == word((y, 1), (x, -1))
+
+
 def test_free_reduce_examples():
     g = GenSym("x", (F(1), F(2)))
     assert free_reduce(word((g, 1), (g, -1))) == EMPTY
