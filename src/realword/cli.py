@@ -268,10 +268,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_input(argv: list[str]) -> list[str]:
+    """Rewrite `--input <value>` as `--input=<value>`.
+
+    argparse takes a separate value such as `-1,2` or `-2/3` for an option
+    and rejects it; the joined form passes any value through.
+    """
+    out: list[str] = []
+    k = 0
+    while k < len(argv):
+        if argv[k] == "--input" and k + 1 < len(argv):
+            out.append("--input=" + argv[k + 1])
+            k += 2
+        else:
+            out.append(argv[k])
+            k += 1
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_input(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

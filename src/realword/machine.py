@@ -7,7 +7,9 @@ file defaulting to 0.  Execution starts from (1, 1, 1, input), with the
 input vector loaded into registers 1..d; register 0 is the branch test cell
 ("brgeq" jumps when it is >= 0).
 
-Instruction semantics follow the standard real-RAM small step:
+Instruction semantics follow the standard real-RAM small step and are
+written once, in `execute` (one instruction on a mutable register file)
+and `advance` (the next label and copy-registers for a branch outcome):
 
     set r<t> <c>      assign the rational constant c to register t
     add r<t> r<a> r<b>   (likewise sub / mul / div)
@@ -17,7 +19,8 @@ Instruction semantics follow the standard real-RAM small step:
 
 Computation and copy instructions may additionally increment or reset the
 copy-registers; the assembly accepts optional `i+ i0 j+ j0` suffix tokens
-for that (plain programs never need them).
+for that (plain programs never need them).  `step` and `run` drive
+`execute`; forced path enumeration in `slp` drives `advance`.
 
 Division by zero is not an error value: the machine is considered to
 diverge on that input, and `mult_guard_transform` rewrites programs so that
@@ -29,13 +32,14 @@ therefore never invert or multiply by an unguarded zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .rationals import DivisionByZero, RatVec, format_rat, parse_rat, rat_op
 
 _CTL = ("=", "+", "0")
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -111,12 +115,40 @@ class Halted:
 HALTED = Halted()
 
 
-def _ctl(v: int, c: str) -> int:
-    if c == "+":
-        return v + 1
-    if c == "0":
-        return 0
-    return v
+def advance(ins: Instruction, n: int, i: int, j: int,
+            taken: Optional[bool]) -> tuple[int, int, int]:
+    """The next (label, i, j) after `ins` at label n, given the branch outcome."""
+    if ins.kind == "branch":
+        return (ins.jump if taken else n + 1), i, j
+    ictl, jctl = ins.ictl, ins.jctl
+    if ictl != "=":
+        i = i + 1 if ictl == "+" else 0
+    if jctl != "=":
+        j = j + 1 if jctl == "+" else 0
+    return n + 1, i, j
+
+
+def execute(ins: Instruction, regs: dict[int, Fraction], n: int, i: int, j: int):
+    """Apply `ins` (not halt) to `regs` in place; returns ((n, i, j), taken).
+
+    `taken` is the branch outcome (None off branches).  A zero divisor
+    raises DivisionByZero and leaves `regs` untouched.
+    """
+    kind = ins.kind
+    taken = None
+    if kind == "compute":
+        regs[ins.target] = rat_op(ins.op, regs.get(ins.a, _ZERO), regs.get(ins.b, _ZERO))
+    elif kind == "assign":
+        regs[ins.target] = ins.const
+    elif kind == "copy":
+        regs[i] = regs.get(j, _ZERO)
+    elif kind == "branch":
+        # r0 >= 0; denominators are positive, so the numerator's sign decides
+        # without Fraction's generic comparison
+        taken = regs.get(0, _ZERO).numerator >= 0
+    else:
+        raise ValueError(f"cannot execute instruction kind {kind!r}")
+    return advance(ins, n, i, j, taken), taken
 
 
 def step(program: BssProgram, config: Configuration):
@@ -129,21 +161,8 @@ def step(program: BssProgram, config: Configuration):
     if ins.kind == "halt":
         return HALTED
     regs = dict(config.regs)
-    n, i, j = config.n, config.i, config.j
-    if ins.kind == "compute":
-        val = rat_op(ins.op, regs.get(ins.a, Fraction(0)), regs.get(ins.b, Fraction(0)))
-        regs[ins.target] = val
-        return Configuration(n + 1, _ctl(i, ins.ictl), _ctl(j, ins.jctl), _pack(regs))
-    if ins.kind == "assign":
-        regs[ins.target] = ins.const
-        return Configuration(n + 1, _ctl(i, ins.ictl), _ctl(j, ins.jctl), _pack(regs))
-    if ins.kind == "branch":
-        taken = regs.get(0, Fraction(0)) >= 0
-        return Configuration(ins.jump if taken else n + 1, i, j, config.regs)
-    if ins.kind == "copy":
-        regs[i] = regs.get(j, Fraction(0))
-        return Configuration(n + 1, _ctl(i, ins.ictl), _ctl(j, ins.jctl), _pack(regs))
-    raise ValueError(f"bad instruction kind {ins.kind!r}")
+    (n, i, j), _ = execute(ins, regs, config.n, config.i, config.j)
+    return Configuration(n, i, j, _pack(regs))
 
 
 TraceStep = tuple[Configuration, Instruction, Optional[bool]]
@@ -180,39 +199,37 @@ class RunResult:
 
 def run(program: BssProgram, input_vec: Sequence[Fraction], fuel: int,
         record_trace: bool = True) -> RunResult:
-    """Iterate step at most `fuel` times from the initial configuration."""
-    cfg = initial_configuration(input_vec)
-    d = len(input_vec)
+    """Execute at most `fuel` steps from the initial configuration."""
+    # the inputs and every written register, so a halting run outputs 1..max(regs)
+    regs = {k + 1: Fraction(v) for k, v in enumerate(input_vec)}
+    n = i = j = 1
     steps: list[TraceStep] = []
-    max_written = d
+    status, output, count = "out_of_fuel", None, fuel  # fuel < 0 runs no step
     for count in range(fuel + 1):
-        ins = program.instructions[cfg.n - 1]
+        ins = program.instructions[n - 1]
         if ins.kind == "halt":
-            out = tuple(cfg.reg(r) for r in range(1, max_written + 1))
-            trace = Trace(program, d, tuple(steps)) if record_trace else None
-            return RunResult("halted", count, out, trace, cfg)
+            status = "halted"
+            output = tuple(regs.get(r, _ZERO) for r in range(1, max(regs, default=0) + 1))
+            break
         if count == fuel:
             break
+        cfg = Configuration(n, i, j, _pack(regs)) if record_trace else None
         try:
-            nxt = step(program, cfg)
+            (n, i, j), taken = execute(ins, regs, n, i, j)
         except DivisionByZero:
-            trace = Trace(program, d, tuple(steps)) if record_trace else None
-            return RunResult("division_by_zero", count, None, trace, cfg)
-        taken = None
-        if ins.kind == "branch":
-            taken = nxt.n == ins.jump
-        if ins.kind in ("compute", "assign"):
-            max_written = max(max_written, ins.target)
-        elif ins.kind == "copy":
-            max_written = max(max_written, cfg.i)
+            status = "division_by_zero"
+            break
         if record_trace:
             steps.append((cfg, ins, taken))
-        cfg = nxt
-    trace = Trace(program, d, tuple(steps)) if record_trace else None
-    return RunResult("out_of_fuel", fuel, None, trace, cfg)
+    trace = Trace(program, len(input_vec), tuple(steps)) if record_trace else None
+    return RunResult(status, count, output, trace, Configuration(n, i, j, _pack(regs)))
 
 
 # -- assembly text format ------------------------------------------------------
+
+_OPERANDS = {"halt": 0, "set": 2, "add": 3, "sub": 3, "mul": 3, "div": 3,
+             "brgeq": 1, "copy": 0}
+
 
 def parse_program(text: str) -> BssProgram:
     """Parse the one-instruction-per-line assembly format ('#' comments)."""
@@ -224,8 +241,6 @@ def parse_program(text: str) -> BssProgram:
         head, _, rest = line.partition(":")
         label = int(head.strip())
         toks = rest.split()
-        if not toks:
-            raise ValueError(f"missing instruction in {raw!r}")
         ictl = jctl = "="
         while toks and toks[-1] in ("i+", "i0", "j+", "j0"):
             t = toks.pop()
@@ -233,7 +248,11 @@ def parse_program(text: str) -> BssProgram:
                 ictl = "+" if t[1] == "+" else "0"
             else:
                 jctl = "+" if t[1] == "+" else "0"
+        if not toks:
+            raise ValueError(f"missing instruction in {raw!r}")
         name = toks[0]
+        if len(toks) - 1 < _OPERANDS.get(name, 0):
+            raise ValueError(f"{name} takes {_OPERANDS[name]} operands in {raw!r}")
 
         def reg(tok: str) -> int:
             if not tok.startswith("r"):
@@ -331,19 +350,14 @@ def mult_guard_transform(program: BssProgram) -> BssProgram:
                 ]
 
             if ins.op == "mul":
-                blk += test_zero(a, "a", "zero_a", "test_b")
-                blk += [("label", "zero_a"),
-                        ("set", ins.target, Fraction(0), ins.ictl, ins.jctl),
-                        ("set", 0, Fraction(0), "=", "="),
-                        ("br", "finish")]
-                blk += [("label", "test_b")]
-                blk += test_zero(b, "b", "zero_b", "do_op")
-                blk += [("label", "zero_b"),
-                        ("set", ins.target, Fraction(0), ins.ictl, ins.jctl),
-                        ("set", 0, Fraction(0), "=", "="),
-                        ("br", "finish")]
-                blk += [("label", "do_op"),
-                        ("mul", ins.target, a, b, ins.ictl, ins.jctl),
+                for src, tag, then in ((a, "a", "test_b"), (b, "b", "do_op")):
+                    blk += test_zero(src, tag, f"zero_{tag}", then)
+                    blk += [("label", f"zero_{tag}"),
+                            ("set", ins.target, Fraction(0), ins.ictl, ins.jctl),
+                            ("set", 0, Fraction(0), "=", "="),
+                            ("br", "finish"),
+                            ("label", then)]
+                blk += [("mul", ins.target, a, b, ins.ictl, ins.jctl),
                         ("label", "finish")]
             else:  # div: diverge on zero divisor
                 blk += test_zero(b, "b", "spin", "do_op")
@@ -362,42 +376,31 @@ def mult_guard_transform(program: BssProgram) -> BssProgram:
 
     # assign labels: first pass computes block start labels and local labels
     starts: list[int] = []
-    next_label = 1
     local_labels: list[dict[str, int]] = []
+    pos = 1
     for blk in blocks:
-        starts.append(next_label)
+        starts.append(pos)
         local: dict[str, int] = {}
-        pos = next_label
         for proto in blk:
             if proto[0] == "label":
                 local[proto[1]] = pos
             else:
                 pos += 1
         local_labels.append(local)
-        next_label = pos
 
     out: list[Instruction] = []
     label = 1
-    for bi, blk in enumerate(blocks):
-        local = local_labels[bi]
-        after = starts[bi + 1] if bi + 1 < len(starts) else next_label
+    for blk, local in zip(blocks, local_labels):
         for proto in blk:
             kind = proto[0]
             if kind == "label":
                 continue
             if kind == "orig":
                 ins = proto[1]
-                if ins.kind == "branch":
-                    out.append(Instruction(label, "branch", jump=starts[ins.jump - 1]))
-                else:
-                    out.append(Instruction(
-                        label, ins.kind, op=ins.op, target=ins.target, a=ins.a,
-                        b=ins.b, const=ins.const, jump=0, ictl=ins.ictl, jctl=ins.jctl))
-            elif kind == "br":
-                tgt = local.get(proto[1], after if proto[1] == "finish" else None)
-                if tgt is None:
-                    raise AssertionError(f"unresolved label {proto[1]}")
-                out.append(Instruction(label, "branch", jump=tgt))
+                jump = starts[ins.jump - 1] if ins.kind == "branch" else 0
+                out.append(replace(ins, label=label, jump=jump))
+            elif kind == "br":  # every block defines the labels it jumps to
+                out.append(Instruction(label, "branch", jump=local[proto[1]]))
             elif kind == "set":
                 out.append(Instruction(label, "assign", target=proto[1],
                                        const=proto[2], ictl=proto[3], jctl=proto[4]))

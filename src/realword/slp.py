@@ -2,7 +2,7 @@
 
 A path is a branch-resolved, single-assignment program: registers 1..d hold
 the input, every later register d < i <= D is assigned exactly once by an
-operation over strictly earlier registers, and guards pin down the branch
+operation over earlier registers only, and guards pin down the branch
 outcomes taken along the way.  The operation alphabet is deliberately small
 (assign / copy / add / neg / mul / inv / geq / lt): machine subtraction and
 division are split into neg+add and inv+mul during extraction.
@@ -11,6 +11,10 @@ The input set of a path (the inputs that follow exactly its branch
 outcomes) is decided by replaying the operations and checking every guard;
 the replay also produces the unique single-assignment extension
 (r_1,...,r_D) of a member input.
+
+Extraction and forced runs share `_Builder.emit`, the one symbolic
+(single-assignment) semantics; forced runs take control flow from
+`machine.advance`, as concrete runs do.
 
 Paths are enumerated without input values by running the machine "forced":
 branch outcomes come from an explicit decision string instead of register
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .machine import BssProgram, Trace, step, HALTED
+from .machine import BssProgram, Trace, advance, step, HALTED
 from .rationals import RatVec, unpair
 
 PathOp = tuple  # ('assign', i, c) ('copy', i, j) ('add', i, j, k) ('neg', i, j)
@@ -201,51 +205,42 @@ def extract_path(trace: Trace, d: int) -> Path:
 
 # -- forced (value-free) execution and path enumeration ------------------------
 
-def _forced_dfs(program: BssProgram, d: int, budget: int,
-                exact: Optional[int] = None,
-                counter: Optional[list[int]] = None) -> list[tuple[int, Path]]:
-    """All forced halting runs with at most `budget` steps (exactly `exact` if given).
+def _forced_dfs(program: BssProgram, d: int, steps: int,
+                counter: Optional[list[int]] = None) -> list[Path]:
+    """All forced runs of input dimension d that halt in exactly `steps` steps.
 
-    Returns (step_count, path) pairs in the frozen order; `counter`, when
-    given, is decremented by one per forced step and the search stops early
-    once it runs out.
+    Paths come in the frozen order; `counter`, when given, is decremented
+    by one per forced step and the search stops early once it runs out.
     """
-    out: list[tuple[int, Path]] = []
+    out: list[Path] = []
     # iterative DFS; stack holds (label, i, j, builder, steps_used)
     stack: list[tuple[int, int, int, _Builder, int]] = [(1, 1, 1, _Builder(d), 0)]
-    N = program.size
     while stack:
         n, i, j, b, used = stack.pop()
         while True:
             ins = program.instructions[n - 1]
             if ins.kind == "halt":
-                if exact is None or used == exact:
-                    out.append((used, b.path(d)))
+                if used == steps:
+                    out.append(b.path(d))
                 break
-            if used == budget:
+            if used == steps:
                 break
             if counter is not None:
                 if counter[0] <= 0:
                     return out
                 counter[0] -= 1
             used += 1
+            taken = None
             if ins.kind == "branch":
                 alt = b.clone()
                 alt.emit(ins, i, j, False)
-                stack.append((n + 1, i, j, alt, used))
-                b.emit(ins, i, j, True)
-                n = ins.jump
-                continue
-            b.emit(ins, i, j, None)
-            if ins.kind == "copy":
-                pass  # register change tracked in the builder
-            ictl, jctl = ins.ictl, ins.jctl
-            i = i + 1 if ictl == "+" else 0 if ictl == "0" else i
-            j = j + 1 if jctl == "+" else 0 if jctl == "0" else j
-            n += 1
+                stack.append((*advance(ins, n, i, j, False), alt, used))
+                taken = True
+            b.emit(ins, i, j, taken)
+            n, i, j = advance(ins, n, i, j, taken)
     # DFS with a stack pops the deepest alternative first, which would put
     # the '0' branch before the '1' branch; restore the frozen order.
-    out.sort(key=lambda sp: (sp[0], _bitkey(sp[1].guard_string)))
+    out.sort(key=lambda p: _bitkey(p.guard_string))
     return out
 
 
@@ -271,8 +266,7 @@ class PathEnumerator:
         key = (d, steps)
         got = self._exact.get(key)
         if got is None:
-            got = [p for _, p in _forced_dfs(self.program, d, steps, exact=steps,
-                                             counter=counter)]
+            got = _forced_dfs(self.program, d, steps, counter)
             if counter is None or counter[0] > 0:
                 self._exact[key] = got
         return got

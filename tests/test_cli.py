@@ -129,3 +129,27 @@ def test_negative_fuel_is_a_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--fuel: must be at least 0" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "sign", "--input", "-1,2", "--fuel", "50"],
+    ["reduce", "sign", "--input", "-2/3", "--fuel", "300"],
+])
+def test_input_value_may_start_with_dash(argv, capsys):
+    # a separate `--input <value>` means the same as `--input=<value>`
+    k = argv.index("--input")
+    joined = argv[:k] + ["--input=" + argv[k + 1]] + argv[k + 2:]
+    assert main(joined) == 0
+    expected = capsys.readouterr()
+    assert expected.out and not expected.err
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
+
+
+def test_truncated_program_is_a_usage_error(tmp_path, capsys):
+    prog = tmp_path / "bad.bss"
+    prog.write_text("1: set r1\n2: halt\n")
+    assert main(["run", str(prog), "--input", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'1: set r1'" in captured.err

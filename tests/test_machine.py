@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from realword.machine import (HALTED, Configuration, format_program,
                               step)
 from realword.programs import (ALL_PROGRAMS, double_program, poly3_program,
                                recip_program, sign_program, square_program)
+from realword.rationals import DivisionByZero
 
 
 def test_parse_and_validate():
@@ -142,7 +144,63 @@ def test_determinism():
 
 
 def test_step_division_by_zero_raises():
-    from realword.rationals import DivisionByZero
     prog = parse_program("1: div r2 r1 r3\n2: halt\n")
     with pytest.raises(DivisionByZero):
         step(prog, initial_configuration((F(5),)))
+
+
+@pytest.mark.parametrize("text", [
+    "1: set\n2: halt\n",
+    "1: set r1\n2: halt\n",
+    "1: add r1 r2\n2: halt\n",
+    "1: brgeq\n2: halt\n",
+    "1: i+ j0\n2: halt\n",
+])
+def test_parse_truncated_line(text):
+    line = text.splitlines()[0]
+    with pytest.raises(ValueError, match=re.escape(line)):
+        parse_program(text)
+
+
+def _run_by_steps(prog, x, fuel):
+    """Reference for run: iterate step, bookkeeping the written registers."""
+    cfg = initial_configuration(x)
+    trace = []
+    max_written = len(x)
+    for count in range(fuel + 1):
+        ins = prog.instructions[cfg.n - 1]
+        if ins.kind == "halt":
+            out = tuple(cfg.reg(r) for r in range(1, max_written + 1))
+            return "halted", count, out, cfg, tuple(trace)
+        if count == fuel:
+            break
+        try:
+            nxt = step(prog, cfg)
+        except DivisionByZero:
+            return "division_by_zero", count, None, cfg, tuple(trace)
+        if ins.kind in ("compute", "assign"):
+            max_written = max(max_written, ins.target)
+        elif ins.kind == "copy":
+            max_written = max(max_written, cfg.i)
+        trace.append((cfg, ins, cfg.reg(0) >= 0 if ins.kind == "branch" else None))
+        cfg = nxt
+    return "out_of_fuel", fuel, None, cfg, tuple(trace)
+
+
+def test_run_equals_iterated_step():
+    progs = []
+    for mk in ALL_PROGRAMS.values():
+        progs += [mk(), mult_guard_transform(mk())]
+    progs.append(parse_program("1: div r2 r1 r3\n2: halt\n"))
+    progs.append(parse_program("1: set r1 7\n2: copy i+ j0\n3: copy\n4: halt\n"))
+    for prog in progs:
+        for x in (F(-2), F(-1, 2), F(0), F(1), F(5, 2)):
+            exact = run(prog, (x,), 100, record_trace=False).steps
+            for fuel in sorted({-1, 0, 1, 7, max(exact - 1, 0), exact, exact + 5}):
+                want = _run_by_steps(prog, (x,), fuel)
+                res = run(prog, (x,), fuel)
+                got = (res.status, res.steps, res.output, res.final, res.trace.steps)
+                assert got == want, (format_program(prog), x, fuel)
+                bare = run(prog, (x,), fuel, record_trace=False)
+                assert bare.trace is None
+                assert (bare.status, bare.steps, bare.output, bare.final) == want[:4]

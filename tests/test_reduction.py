@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from realword.machine import mult_guard_transform, parse_program, run
-from realword.programs import halt_program, sign_program
+from realword.programs import ALL_PROGRAMS, halt_program, sign_program
 from realword.reduction import (GroupHandles, ZeroScale, assemble_u, build_W,
                                 check_reduction, extension_presentation,
                                 l_reachability_check, path_constants,
@@ -250,3 +250,23 @@ def test_v_membership_of_extensions():
             full = path_extend(p, (x,))
             assert full is not None
             assert v_membership(p, full), (name, x)
+
+
+# smallest fuel at which member_within finds the query word of one input;
+# pins the fuel charged per step level, per forced step and per replay
+FUEL_BOUNDARY = [
+    ("sign", F(1), 10), ("sign", F(5, 2), 10),
+    ("double", F(3, 2), 15), ("double", F(4), 15),
+    ("recip", F(2), 315), ("recip", F(1, 3), 315),
+    ("square", F(-2), 642), ("square", F(5, 2), 1653),
+    ("poly3", F(-2), 55), ("poly3", F(1), 24),
+    ("halt", F(-7), 1),
+]
+
+
+@pytest.mark.parametrize("name,x,fuel", FUEL_BOUNDARY)
+def test_member_within_fuel_boundary(name, x, fuel):
+    prog = ALL_PROGRAMS[name]()
+    w = encode_w((x,))
+    assert assemble_u(prog).member_within(w, fuel)
+    assert not assemble_u(prog).member_within(w, fuel - 1)

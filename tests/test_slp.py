@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from realword.machine import mult_guard_transform, run
+from realword.machine import mult_guard_transform, parse_program, run
 from realword.programs import halt_program, sign_program, square_program
 from realword.slp import (MalformedTrace, Path as SlpPath, PathEnumerator,
                           enumerate_paths, extract_path, path_extend,
@@ -45,6 +45,16 @@ def test_extract_rejects_tampered_trace():
     bad = type(tr)(tr.program, tr.d, tuple(steps))
     with pytest.raises(MalformedTrace):
         extract_path(bad, 1)
+
+
+def test_extract_branch_to_next_label():
+    # the branch target is also the fall-through label, so only register 0
+    # tells the two outcomes apart: r0 = -1 < 0 is the '0' outcome
+    prog = parse_program("1: sub r0 r1 r2\n2: brgeq 3\n3: halt\n")
+    x = (F(-1), F(0))
+    p = extract_path(run(prog, x, 10).trace, 2)
+    assert p.guard_string == "0"
+    assert replay(p, x) is not None
 
 
 def test_membership_and_extend():
