@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .rationals import RatVec
-from .words import EMPTY, GenSym, Letter, Word, concat, free_reduce, invert
+from .words import (EMPTY, GenSym, Letter, Word, concat, free_reduce, invert,
+                    nielsen_decompose)
 
 NEG_POS_WITH_A = "NegPosWithA"
 POS_NEG_WITH_B = "PosNegWithB"
@@ -163,6 +164,19 @@ def bs12_structure() -> HnnStructure:
 
     return HnnStructure(lambda w: len(free_reduce(w)) == 0,
                         {"t": StableKind(member_a, member_b, forward, backward)})
+
+
+def halfline_structure() -> HnnStructure:
+    """t commutes with the pattern words whose first index entry is >= 0.
+
+    Base free; A = B is the subgroup those pattern words generate, decided
+    by Nielsen decomposition, and conjugation by t is the identity on it.
+    """
+    def member(g: Word, idx: RatVec) -> bool:
+        dec = nielsen_decompose(g)
+        return dec is not None and all(len(v) >= 1 and v[0] >= 0 for _, v in dec)
+
+    return commuting_structure(lambda w: len(free_reduce(w)) == 0, "t", member)
 
 
 def _a_word(k: int) -> Word:

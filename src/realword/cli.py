@@ -4,8 +4,9 @@ Subcommands: run, paths, wp, verify, hnn-reduce, reduce, figure1, examples,
 selftest.  Exit codes: 0 on success or agreement, 1 on disagreement, failed
 verification or an unproved word, 2 on usage errors.  All randomized
 behavior derives from --seed, and fixed (inputs, seed, fuel) give
-byte-identical reports; --format jsonl emits line-delimited records for
-diffing in CI.
+byte-identical reports; on the subcommands that print records (run,
+paths, hnn-reduce, reduce, figure1, examples) --format jsonl emits them
+line-delimited for diffing in CI.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import random
 import sys
 
-from .britton import bs12_structure, britton_reduce, commuting_structure, hnn_is_identity
+from .britton import bs12_structure, britton_reduce, halfline_structure, hnn_is_identity
 from .machine import parse_program, run
 from .presentations import (Certificate, load_presentation, verify_certificate,
                             wp_semidecide)
@@ -25,7 +26,7 @@ from .reduction import build_W, check_reduction, l_reachability_check, reduce_ha
 from .sample_groups import BUILTIN_PRESENTATIONS, ORACLES
 from .selftest import ALL_CHECKS, positive_sample, row_cases
 from .slp import PathEnumerator
-from .words import encode_w, format_word, free_reduce, nielsen_decompose, parse_word
+from .words import encode_w, format_word, parse_word
 
 
 def _load_program(spec: str):
@@ -111,20 +112,7 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-_STRUCTURES = {
-    "bs12": bs12_structure,
-}
-
-
-def _halfline_structure():
-    # commuting extension over the pattern words with nonnegative first entry
-    def member(g, idx=()):
-        dec = nielsen_decompose(g)
-        return dec is not None and all(len(v) >= 1 and v[0] >= 0 for _, v in dec)
-    return commuting_structure(lambda w: len(free_reduce(w)) == 0, "t", member)
-
-
-_STRUCTURES["halfline"] = _halfline_structure
+_STRUCTURES = {"bs12": bs12_structure, "halfline": halfline_structure}
 
 
 def cmd_hnn_reduce(args) -> int:
@@ -223,14 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--fuel", type=_fuel, default=100_000)
     p.add_argument("--cert-out", default="certificate.json")
-    common(p)
     p.set_defaults(fn=cmd_wp)
 
     p = sub.add_parser("verify", help="replay a certificate")
     p.add_argument("presentation")
     p.add_argument("--word", required=True)
     p.add_argument("--cert", required=True)
-    common(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("hnn-reduce", help="pinch-eliminate in a builtin extension")
@@ -262,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--only", help="substring of a single check to run")
-    common(p)
     p.set_defaults(fn=cmd_selftest)
 
     return ap

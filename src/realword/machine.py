@@ -251,8 +251,12 @@ def parse_program(text: str) -> BssProgram:
         if not toks:
             raise ValueError(f"missing instruction in {raw!r}")
         name = toks[0]
-        if len(toks) - 1 < _OPERANDS.get(name, 0):
+        if name not in _OPERANDS:
+            raise ValueError(f"unknown instruction {name!r}")
+        if len(toks) - 1 != _OPERANDS[name]:
             raise ValueError(f"{name} takes {_OPERANDS[name]} operands in {raw!r}")
+        if name in ("halt", "brgeq") and (ictl, jctl) != ("=", "="):
+            raise ValueError(f"{name} takes no i+ i0 j+ j0 suffix in {raw!r}")
 
         def reg(tok: str) -> int:
             if not tok.startswith("r"):
@@ -269,10 +273,8 @@ def parse_program(text: str) -> BssProgram:
                                    a=reg(toks[2]), b=reg(toks[3]), ictl=ictl, jctl=jctl))
         elif name == "brgeq":
             out.append(Instruction(label, "branch", jump=int(toks[1])))
-        elif name == "copy":
-            out.append(Instruction(label, "copy", ictl=ictl, jctl=jctl))
         else:
-            raise ValueError(f"unknown instruction {name!r}")
+            out.append(Instruction(label, "copy", ictl=ictl, jctl=jctl))
     return BssProgram(tuple(out))
 
 

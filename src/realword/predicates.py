@@ -121,7 +121,9 @@ def solve_unknown(expr: Poly, target: Fraction,
 
     Handles sums and differences with one unknown branch, products whose
     other factors evaluate to a nonzero rational, negation, and first powers.
-    Returns (var index, value) or None when the shape is not solvable.
+    Returns (var index, value) or None when the shape is not solvable,
+    which includes the unknown occurring in both operands of a sum,
+    difference or product; a returned value always solves the equation.
     """
     unknowns = [v for v in expr.vars() if v not in known]
     if len(unknowns) != 1:
@@ -137,6 +139,8 @@ def solve_unknown(expr: Poly, target: Fraction,
             return None
         if e.op == "neg":
             return rec(e.args[0], -t)
+        if e.op in ("add", "sub", "mul") and all(uv in a.vars() for a in e.args):
+            return None  # the unknown on both sides: not one-step solvable
         if e.op in ("add", "sub"):
             left, right = e.args
             sign = 1 if e.op == "add" else -1

@@ -92,51 +92,58 @@ class RelatorSchema:
         return Word(tuple(lt.instantiate_id(params) for lt in self.template))
 
     def match_prefix(self, letters: Sequence[tuple[GenSym, int]],
-                     length: int) -> Optional[RatVec]:
-        """Parameters making template[0:length] equal the given letters.
+                     start: int) -> Optional[list[tuple[int, RatVec]]]:
+        """Every (L, params) making template[:L] equal letters[start:start+L].
 
-        Solvable parameters must be recoverable from the observed prefix:
-        bare-variable index entries bind directly, composite entries are
-        solved one unknown at a time.  Returns None when the shapes differ,
-        some parameter stays undetermined, the solved instance disagrees
-        with an observation, or the constraint fails.
+        One walk along the template, stopping at the first shape mismatch.
+        Index entries bind bare variables or are solved one unknown at a
+        time; each binding is forced, so the parameters found once all are
+        bound are the only candidates for every longer prefix, which matches
+        when its observations and the constraint hold at them.  Returns the
+        non-empty matches longest first, or None.
         """
-        tpl = self.template[:length]
-        if len(letters) != len(tpl):
-            return None
-        obs: list[tuple[Poly, Fraction]] = []
-        for (gen, exp), t in zip(letters, tpl):
-            if gen.family != t.family or exp != t.exp or len(gen.index) != len(t.index):
-                return None
-            obs.extend(zip(t.index, gen.index))
         known: dict[int, Fraction] = {}
-        progress = True
-        while progress and len(known) < self.arity:
-            progress = False
-            for expr, val in obs:
-                missing = [v for v in expr.vars() if v not in known]
-                if not missing:
+        seen: list[tuple[Poly, Fraction]] = []
+        params = None
+        hits = []
+        tpl = self.template
+        for L, (t, (gen, exp)) in enumerate(zip(tpl, letters[start:start + len(tpl)]), 1):
+            if gen.family != t.family or exp != t.exp or len(gen.index) != len(t.index):
+                break
+            obs = tuple(zip(t.index, gen.index))
+            if params is None:
+                seen.extend(obs)
+                progress = True
+                while progress and len(known) < self.arity:
+                    progress = False
+                    for expr, val in seen:
+                        missing = [v for v in expr.vars() if v not in known]
+                        if len(missing) == 1:
+                            got = ((expr.k, val) if expr.op == "var"
+                                   else solve_unknown(expr, val, known))
+                            if got is not None:
+                                known[got[0]] = got[1]
+                                progress = True
+                if len(known) < self.arity:
                     continue
-                if expr.op == "var":
-                    known[expr.k] = val
-                    progress = True
-                elif len(missing) == 1:
-                    got = solve_unknown(expr, val, known)
-                    if got is not None:
-                        known[got[0]] = got[1]
-                        progress = True
-        if len(known) < self.arity:
-            return None
-        params = tuple(known.get(i, Fraction(0)) for i in range(self.arity))
-        for expr, val in obs:
-            if expr.eval(params) != val:
-                return None
-        if not self.constraint.eval(params):
-            return None
-        return params
+                params = tuple(known.get(i, Fraction(0)) for i in range(self.arity))
+                if not (all(expr.eval(params) == val for expr, val in seen)
+                        and self.constraint.eval(params)):
+                    return None
+            elif any(expr.eval(params) != val for expr, val in obs):
+                break
+            hits.append((L, params))
+        return hits[::-1] or None
 
     def match(self, w: Word) -> Optional[RatVec]:
-        return self.match_prefix(w.letters, len(self.template))
+        """Parameters of which w is the instance, or None."""
+        n = len(self.template)
+        if len(w) != n:
+            return None
+        if n == 0:
+            return () if self.admits(()) else None
+        hits = self.match_prefix(w.letters, 0)
+        return hits[0][1] if hits and hits[0][0] == n else None
 
     def inverse(self) -> "RelatorSchema":
         tpl = tuple(LetterTemplate(t.family, -t.exp, t.index)
@@ -154,7 +161,6 @@ class CallbackSchema:
     constraint_cb: Callable[[RatVec], bool] = lambda params: True
     label: str = ""
     mode: str = "enumerable"
-    template: tuple = ()
 
     def admits(self, params: Sequence[Fraction]) -> bool:
         return len(params) == self.arity and self.constraint_cb(tuple(params))
@@ -167,9 +173,6 @@ class CallbackSchema:
 
     def match(self, w: Word) -> Optional[RatVec]:
         raise SemiDecidableOnly(f"schema {self.label!r} is enumerable only")
-
-    def match_prefix(self, letters, length):
-        return None
 
 
 @dataclass(frozen=True)
@@ -509,27 +512,16 @@ def _goal_moves(p: Presentation, u: Word) -> list[tuple[CertEntry, Word]]:
     ids = u.ids
     letters = u.letters
     n = len(letters)
-    schemas = [(si, s, s.template[0]) for si, s in enumerate(p.relators)
-               if s.mode == "decidable" and s.template]
+    schemas = [(si, s) for si, s in enumerate(p.relators) if s.mode == "decidable"]
     for i in range(n):
-        gen_i, exp_i = letters[i]
-        for si, schema, head in schemas:
-            if (head.family != gen_i.family or head.exp != exp_i
-                    or len(head.index) != len(gen_i.index)):
-                continue
-            top = min(len(schema.template), n - i)
-            for L in range(top, 0, -1):
-                params = schema.match_prefix(letters[i:i + L], L)
-                if params is None:
-                    continue
-                tail = Word(tuple(t.instantiate_id(params)
-                                  for t in schema.template[L:]))
-                u1 = concat(Word(ids[:i]), invert(tail), Word(ids[i + L:]))
-                if len(u1) >= n:
-                    continue
-                inst = schema.instantiate(params, check=False)
-                entry = CertEntry(Word(ids[:i]), inst, si, params)
-                out.append((entry, u1))
+        for si, schema in schemas:
+            for L, params in schema.match_prefix(letters, i) or ():
+                tail = tuple(t.instantiate_id(params) for t in schema.template[L:])
+                u1 = concat(Word(ids[:i]), invert(Word(tail)), Word(ids[i + L:]))
+                if len(u1) < n:
+                    # the matched letters are the instance's first L letters
+                    entry = CertEntry(Word(ids[:i]), Word(ids[i:i + L] + tail), si, params)
+                    out.append((entry, u1))
     return out
 
 
@@ -558,18 +550,13 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
     goal_cache: dict[tuple, list] = {}
     best: dict[tuple, int] = {target.ids: 0}
 
-    def goal_moves(u: Word):
-        got = goal_cache.get(u.ids)
-        if got is None:
-            got = _goal_moves(p, u)
-            goal_cache[u.ids] = got
-        return got
-
     for _ in range(fuel):
         if not heap:
             return None
         prio, seq, u, chain, k = heapq.heappop(heap)
-        moves = goal_moves(u)
+        moves = goal_cache.get(u.ids)
+        if moves is None:
+            moves = goal_cache[u.ids] = _goal_moves(p, u)
         ucost = best.get(u.ids, prio)
 
         # schedule this state's next move
@@ -633,16 +620,27 @@ def presentation_to_json(p: Presentation) -> dict:
     }
 
 
+def _check_vars(used: frozenset, arity: int, what: str):
+    bad = sorted((v for v in used if not (type(v) is int and 0 <= v < arity)), key=repr)
+    if bad:
+        raise ValueError(f"{what} uses variable {bad[0]!r} but has arity {arity}")
+
+
 def presentation_from_json(data: dict) -> Presentation:
     gens = tuple(GenClause(g["family"], g["arity"], Pred.from_json(g["pred"]))
                  for g in data["generators"])
+    for k, c in enumerate(gens):
+        _check_vars(c.pred.vars(), c.arity, f"generator clause {k} ({c.family!r})")
     rels = []
-    for r in data["relators"]:
+    for k, r in enumerate(data["relators"]):
         tpl = tuple(LetterTemplate(t["family"], t["exp"],
                                    tuple(Poly.from_json(e) for e in t["index"]))
                     for t in r["letters"])
-        rels.append(RelatorSchema(r["arity"], tpl, Pred.from_json(r["constraint"]),
-                                  r.get("mode", "decidable"), r.get("label", "")))
+        s = RelatorSchema(r["arity"], tpl, Pred.from_json(r["constraint"]),
+                          r.get("mode", "decidable"), r.get("label", ""))
+        used = s.constraint.vars().union(*(e.vars() for t in tpl for e in t.index))
+        _check_vars(used, s.arity, f"relator {k} ({s.label!r})")
+        rels.append(s)
     return Presentation(data["label"], data["dim"], gens, tuple(rels))
 
 

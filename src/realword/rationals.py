@@ -33,13 +33,6 @@ class DivisionByZero(ArithmeticError):
     """Division node with zero divisor; the machine level treats it as divergence."""
 
 
-_OPS = ("add", "sub", "mul", "div")
-
-
-def rat(p, q=1) -> Fraction:
-    return Fraction(p, q)
-
-
 def rat_op(kind: str, a: Fraction, b: Fraction) -> Fraction:
     """Exact field operation; `div` by zero raises DivisionByZero."""
     if kind == "add":
@@ -185,7 +178,11 @@ def vector_index(v: Sequence[Fraction]) -> int:
 
 
 def vec_of_arity(arity: int, m: int) -> RatVec:
-    """m-th vector of exactly the given arity (used by parameter streams)."""
+    """m-th vector of exactly the given arity.
+
+    A fixed-arity order over Cantor tuples of rational indices; the relator
+    and conjugator streams enumerate `enumerate_vectors` instead.
+    """
     if arity == 0:
         if m != 0:
             raise ValueError("there is a single vector of arity 0")

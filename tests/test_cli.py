@@ -153,3 +153,65 @@ def test_truncated_program_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "'1: set r1'" in captured.err
+    # extra operands are rejected the same way
+    prog.write_text("1: set r1 2 junk\n2: halt\n")
+    assert main(["run", str(prog), "--input", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'1: set r1 2 junk'" in captured.err
+
+
+def _one_relator_presentation(tmp_path, letters, arity=1, pred=None):
+    """A JSON presentation over x(v0) with a single relator schema."""
+    data = {"label": "p", "dim": 1,
+            "generators": [{"family": "x", "arity": 1,
+                            "pred": pred or {"op": "true"}}],
+            "relators": [{"arity": arity, "label": "r", "letters": letters,
+                          "constraint": {"op": "true"}}]}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _x(index, exp=1):
+    return {"family": "x", "exp": exp, "index": [index]}
+
+
+V0 = {"op": "var", "i": 0}
+
+
+def test_wp_relator_with_repeated_unknown(tmp_path, capsys):
+    # x(v0 + v0) . x(v0)^-1: v0 comes from the second letter, not the sum
+    pres = _one_relator_presentation(
+        tmp_path, [_x({"op": "add", "args": [V0, V0]}), _x(V0, -1)])
+    cert = tmp_path / "c.json"
+    assert main(["wp", pres, "--word", "x(2) . x(1)^-1",
+                 "--cert-out", str(cert)]) == 0
+    assert capsys.readouterr().out.startswith("PROVED n=1 ")
+    entries = json.loads(cert.read_text())
+    assert [e["params"] for e in entries] == [["1"]]
+
+
+@pytest.mark.parametrize("where", ["relator", "generator"])
+def test_out_of_range_variable_is_a_usage_error(where, tmp_path, capsys):
+    v3 = {"op": "var", "i": 3}
+    if where == "relator":
+        pres = _one_relator_presentation(tmp_path, [_x(v3), _x(V0, -1)])
+    else:
+        pres = _one_relator_presentation(
+            tmp_path, [_x(V0), _x(V0, -1)],
+            pred={"op": "cmp", "rel": ">=", "lhs": v3, "rhs": V0})
+    assert main(["wp", pres, "--word", "x(1) . x(1)^-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "uses variable 3 but has arity 1" in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["wp", "torus", "--word", "x(1/3) . x(2/3) . x(0)^-1"],
+    ["verify", "torus", "--word", "x(1/3)", "--cert", "c.json"],
+    ["selftest", "--only", "action"],
+])
+def test_format_only_on_record_commands(command, capsys):
+    assert main(command + ["--format", "jsonl"]) == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err

@@ -155,6 +155,10 @@ def test_step_division_by_zero_raises():
     "1: add r1 r2\n2: halt\n",
     "1: brgeq\n2: halt\n",
     "1: i+ j0\n2: halt\n",
+    # extra operands and copy-register suffixes where none belong
+    "1: set r1 2 junk\n2: halt\n",
+    "1: halt 5 6\n",
+    "1: brgeq 2 i+\n2: halt\n",
 ])
 def test_parse_truncated_line(text):
     line = text.splitlines()[0]

@@ -49,6 +49,10 @@ def test_solve_unknown_shapes():
     assert solve_unknown(-var(1), F(4), {}) == (1, F(-4))
     # two unknowns: not solvable
     assert solve_unknown(var(0) + var(1), F(1), {}) is None
+    # the unknown in both operands: not solvable in one step, and the other
+    # operand is never evaluated without it
+    assert solve_unknown(var(0) + var(0), F(2), {}) is None
+    assert solve_unknown(var(1) + var(1), F(6), {2: F(5)}) is None
 
 
 def test_shift_vars():

@@ -9,7 +9,7 @@ import pytest
 from realword.predicates import TRUE, eq, is_nat, ne, var
 from realword.presentations import (ActionRule, ArityMismatch, Certificate,
                                     GenClause, LetterTemplate, Presentation,
-                                    SemiDecidableOnly,
+                                    RelatorSchema, SemiDecidableOnly,
                                     StableSpec, WordFamily, amalgamate,
                                     check_generator, check_relator,
                                     enumerate_conjugators, enumerate_relators,
@@ -45,6 +45,28 @@ def test_check_relator():
     assert check_relator(tor, parse_word("x(1/3) . x(1/4) . x(7/12)^-1"))
     assert not check_relator(tor, parse_word("x(1/3) . x(1/4) . x(1/2)^-1"))
     assert not check_relator(tor, EMPTY)
+
+
+def test_match_prefix_returns_every_matching_prefix():
+    tor = torus_presentation()
+    shift, sum_ = (next(s for s in tor.relators if s.label == name)
+                   for name in ("shift", "sum"))
+    letters = parse_word("x(1/3) . x(1/4) . x(7/12)^-1").letters
+    assert sum_.match_prefix(letters, 0) == [(3, (F(1, 3), F(1, 4))),
+                                             (2, (F(1, 3), F(1, 4)))]
+    # the shape breaks at the inverse letter before v1 is bound
+    assert sum_.match_prefix(letters, 1) is None
+    # x(5/2) is not x(1/2 + 1): only the one-letter prefix matches
+    assert shift.match_prefix(parse_word("x(1/2) . x(5/2)^-1").letters, 0) \
+        == [(1, (F(1, 2),))]
+
+
+def test_empty_arity_zero_schema_matches_the_empty_word():
+    p = Presentation("e", 0, (GenClause("y", 0, TRUE),),
+                     (RelatorSchema(0, ()),))
+    assert p.relators[0].match(EMPTY) == ()
+    assert check_relator(p, EMPTY)
+    assert not check_relator(p, parse_word("y"))
 
 
 def test_check_relator_semidecidable_only():
