@@ -39,7 +39,10 @@ def _load_program(spec: str):
 def _load_presentation_arg(spec: str):
     if spec in BUILTIN_PRESENTATIONS:
         return BUILTIN_PRESENTATIONS[spec]()
-    return load_presentation(spec)
+    try:
+        return load_presentation(spec)
+    except RecursionError:
+        raise ValueError(f"{spec}: JSON nested too deeply") from None
 
 
 def _fuel(text: str) -> int:

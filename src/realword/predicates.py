@@ -94,13 +94,38 @@ class Poly:
 
     @staticmethod
     def from_json(node) -> "Poly":
-        op = node["op"]
+        op = _json_op(node, "polynomial")
         if op == "const":
-            return const(parse_rat(node["value"]))
+            value = node["value"]
+            if type(value) is not str:
+                raise ValueError(f"const value must be a string, got {value!r}")
+            return const(parse_rat(value))
         if op == "var":
             return var(node["i"])
-        args = tuple(Poly.from_json(a) for a in node["args"])
-        return Poly(op, args, k=node.get("k", 0))
+        if op not in _POLY_ARITY:
+            raise ValueError(f"unknown polynomial op {op!r}")
+        k = node.get("k", 0)
+        if op == "pow" and not (type(k) is int and k >= 0):
+            raise ValueError(f"pow exponent must be a natural number, got {k!r}")
+        args = _json_args(node, _POLY_ARITY[op])
+        return Poly(op, tuple(Poly.from_json(a) for a in args), k=k)
+
+
+_POLY_ARITY = {"add": 2, "sub": 2, "mul": 2, "neg": 1, "pow": 1}
+
+
+def _json_op(node, what: str) -> str:
+    if type(node) is not dict:
+        raise ValueError(f"{what} node must be an object, got {type(node).__name__}")
+    return node["op"]
+
+
+def _json_args(node: dict, count: Optional[int] = None) -> list:
+    args = node["args"]
+    if type(args) is not list or count is not None and len(args) != count:
+        raise ValueError(f"{node['op']!r} node needs a list of "
+                         + (f"{count} args" if count is not None else "args"))
+    return args
 
 
 def const(c) -> Poly:
@@ -128,46 +153,48 @@ def solve_unknown(expr: Poly, target: Fraction,
     unknowns = [v for v in expr.vars() if v not in known]
     if len(unknowns) != 1:
         return None
-    uv = unknowns[0]
-
-    def rec(e: Poly, t: Fraction) -> Optional[Fraction]:
-        if e.op == "var":
-            if e.k == uv:
-                return t
-            return None
-        if e.op == "const":
-            return None
-        if e.op == "neg":
-            return rec(e.args[0], -t)
-        if e.op in ("add", "sub", "mul") and all(uv in a.vars() for a in e.args):
-            return None  # the unknown on both sides: not one-step solvable
-        if e.op in ("add", "sub"):
-            left, right = e.args
-            sign = 1 if e.op == "add" else -1
-            if uv in left.vars():
-                rv = right.eval(_env(known))
-                return rec(left, t - sign * rv)
-            lv = left.eval(_env(known))
-            return rec(right, (t - lv) * sign)
-        if e.op == "mul":
-            left, right = e.args
-            if uv in left.vars():
-                rv = right.eval(_env(known))
-                if rv == 0:
-                    return None
-                return rec(left, t / rv)
-            lv = left.eval(_env(known))
-            if lv == 0:
-                return None
-            return rec(right, t / lv)
-        if e.op == "pow" and e.k == 1:
-            return rec(e.args[0], t)
-        return None
-
-    val = rec(expr, target)
+    val = _solve_rec(expr, target, unknowns[0], known)
     if val is None:
         return None
-    return uv, val
+    return unknowns[0], val
+
+
+def _solve_rec(e: Poly, t: Fraction, uv: int,
+               known: dict[int, Fraction]) -> Optional[Fraction]:
+    # value of the unknown uv making e == t; a module-level function, since a
+    # self-referencing closure would leave a reference cycle per solve
+    if e.op == "var":
+        if e.k == uv:
+            return t
+        return None
+    if e.op == "const":
+        return None
+    if e.op == "neg":
+        return _solve_rec(e.args[0], -t, uv, known)
+    if e.op in ("add", "sub", "mul") and all(uv in a.vars() for a in e.args):
+        return None  # the unknown on both sides: not one-step solvable
+    if e.op in ("add", "sub"):
+        left, right = e.args
+        sign = 1 if e.op == "add" else -1
+        if uv in left.vars():
+            rv = right.eval(_env(known))
+            return _solve_rec(left, t - sign * rv, uv, known)
+        lv = left.eval(_env(known))
+        return _solve_rec(right, (t - lv) * sign, uv, known)
+    if e.op == "mul":
+        left, right = e.args
+        if uv in left.vars():
+            rv = right.eval(_env(known))
+            if rv == 0:
+                return None
+            return _solve_rec(left, t / rv, uv, known)
+        lv = left.eval(_env(known))
+        if lv == 0:
+            return None
+        return _solve_rec(right, t / lv, uv, known)
+    if e.op == "pow" and e.k == 1:
+        return _solve_rec(e.args[0], t, uv, known)
+    return None
 
 
 def _env(known: dict[int, Fraction]) -> list[Fraction]:
@@ -240,16 +267,21 @@ class Pred:
 
     @staticmethod
     def from_json(node) -> "Pred":
-        op = node["op"]
+        op = _json_op(node, "predicate")
         if op in ("true", "false"):
             return TRUE if op == "true" else FALSE
         if op == "cmp":
+            if node["rel"] not in ("=", "!=", ">=", ">"):
+                raise ValueError(f"unknown comparison {node['rel']!r}")
             return Pred("cmp", rel=node["rel"],
                         lhs=Poly.from_json(node["lhs"]),
                         rhs=Poly.from_json(node["rhs"]))
         if op in ("isint", "isnat"):
             return Pred(op, lhs=Poly.from_json(node["arg"]))
-        return Pred(op, tuple(Pred.from_json(a) for a in node["args"]))
+        if op not in ("and", "or", "not"):
+            raise ValueError(f"unknown predicate op {op!r}")
+        args = _json_args(node, 1 if op == "not" else None)
+        return Pred(op, tuple(Pred.from_json(a) for a in args))
 
 
 TRUE = Pred("true")

@@ -35,9 +35,9 @@ from typing import Callable, Iterable, Optional, Sequence
 from .predicates import (Poly, Pred, TRUE, conj, const, eq,
                          shift_pred, solve_unknown, var)
 from .rationals import (RatVec, _nat_tuple, enumerate_vectors, format_rat,
-                        parse_rat, unpair)
-from .words import (EMPTY, GenSym, Word, concat, format_word, free_reduce,
-                    intern_parts, invert, parse_word)
+                        parse_rat, unpair, vector_arity)
+from .words import (EMPTY, GenSym, Word, _concat_ids, concat, format_word,
+                    free_reduce, intern_parts, invert, parse_word)
 
 
 class ArityMismatch(Exception):
@@ -225,22 +225,28 @@ class _Streams:
     Relators: raw vector index ascending, then schema order, skipping
     parameters of wrong arity or violating the constraint.  Conjugators:
     empty word first, then by (length, letter-index tuple) with each
-    generator symbol contributing +1 before -1.
+    generator symbol contributing +1 before -1.  A raw index whose vector
+    has no schema's (clause's) arity is skipped without building the vector.
     """
 
     def __init__(self, p: Presentation):
         self.p = p
         self.relators: list[tuple[int, RatVec, Word]] = []
         self._rel_raw = 0
+        self._rel_arities = {s.arity for s in p.relators}
         self.letters: list[tuple[GenSym, int]] = []
         self._let_raw = 0
+        self._let_arities = {c.arity for c in p.generators}
 
     def relator(self, i: int) -> Optional[tuple[int, RatVec, Word]]:
         budget = _SCAN_STEP
         while len(self.relators) <= i and budget > 0:
-            vec = enumerate_vectors(self._rel_raw)
+            raw = self._rel_raw
             self._rel_raw += 1
             budget -= 1
+            if vector_arity(raw) not in self._rel_arities:
+                continue
+            vec = enumerate_vectors(raw)
             for si, s in enumerate(self.p.relators):
                 if s.arity == len(vec) and s.admits(vec):
                     self.relators.append((si, vec, s.instantiate(vec, check=False)))
@@ -249,9 +255,12 @@ class _Streams:
     def letter(self, i: int) -> Optional[tuple[GenSym, int]]:
         budget = _SCAN_STEP
         while len(self.letters) <= i and budget > 0:
-            vec = enumerate_vectors(self._let_raw)
+            raw = self._let_raw
             self._let_raw += 1
             budget -= 1
+            if vector_arity(raw) not in self._let_arities:
+                continue
+            vec = enumerate_vectors(raw)
             for c in self.p.generators:
                 if c.admits(vec):
                     g = GenSym(c.family, vec)
@@ -506,22 +515,62 @@ def verify_certificate(p: Presentation, w: Word, cert: Certificate) -> bool:
     return acc == free_reduce(w)
 
 
-def _goal_moves(p: Presentation, u: Word) -> list[tuple[CertEntry, Word]]:
-    """Certificate steps that strictly shorten u, by schema-prefix matching."""
+# (L, params, relator, ids of the freely reduced inverse of the tail)
+_Hit = tuple[int, RatVec, Word, tuple[int, ...]]
+_NO_HITS: tuple[_Hit, ...] = ()
+# (family, exp, index length) of a letter -> (schema index, schema) pairs
+_Heads = dict[tuple[str, int, int], list[tuple[int, RelatorSchema]]]
+
+
+def _head_table(p: Presentation) -> _Heads:
+    """Decidable schemas keyed by the shape of their first template letter,
+    in schema order; a schema can match only at a letter of that shape."""
+    heads: _Heads = {}
+    for si, s in enumerate(p.relators):
+        if s.mode == "decidable" and s.template:
+            t = s.template[0]
+            heads.setdefault((t.family, t.exp, len(t.index)), []).append((si, s))
+    return heads
+
+
+def _window_hits(schema: RelatorSchema, letters: Sequence[tuple[GenSym, int]],
+                 ids: tuple[int, ...], i: int) -> tuple[_Hit, ...]:
+    """Every match of schema at position i, with its relator and inverted tail."""
+    found = schema.match_prefix(letters, i)
+    if found is None:
+        return _NO_HITS
+    hits = []
+    for L, params in found:
+        tail = Word(tuple(t.instantiate_id(params) for t in schema.template[L:]))
+        # the matched letters are the instance's first L letters
+        hits.append((L, params, Word(ids[i:i + L] + tail.ids),
+                     free_reduce(invert(tail)).ids))
+    return tuple(hits)
+
+
+def _goal_moves(u: Word, heads: _Heads,
+                memo: dict[tuple, tuple[_Hit, ...]]) -> list[tuple[CertEntry, Word]]:
+    """Certificate steps that strictly shorten u, by schema-prefix matching.
+
+    `heads` is the presentation's `_head_table`.  `match_prefix` reads only
+    the template-length window at a position, so `memo` maps (schema index,
+    id window) to `_window_hits` for the rest of one search.
+    """
     out = []
     ids = u.ids
     letters = u.letters
-    n = len(letters)
-    schemas = [(si, s) for si, s in enumerate(p.relators) if s.mode == "decidable"]
-    for i in range(n):
-        for si, schema in schemas:
-            for L, params in schema.match_prefix(letters, i) or ():
-                tail = tuple(t.instantiate_id(params) for t in schema.template[L:])
-                u1 = concat(Word(ids[:i]), invert(Word(tail)), Word(ids[i + L:]))
+    n = len(ids)
+    for i, (gen, exp) in enumerate(letters):
+        for si, schema in heads.get((gen.family, exp, len(gen.index)), ()):
+            key = (si, ids[i:i + len(schema.template)])
+            hits = memo.get(key)
+            if hits is None:
+                hits = memo[key] = _window_hits(schema, letters, ids, i)
+            for L, params, relator, inv_tail in hits:
+                # u and inv_tail are freely reduced: only the junctions cancel
+                u1 = _concat_ids(_concat_ids(ids[:i], inv_tail), ids[i + L:])
                 if len(u1) < n:
-                    # the matched letters are the instance's first L letters
-                    entry = CertEntry(Word(ids[:i]), Word(ids[i:i + L] + tail), si, params)
-                    out.append((entry, u1))
+                    out.append((CertEntry(Word(ids[:i]), relator, si, params), Word(u1)))
     return out
 
 
@@ -548,6 +597,8 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
     # heap entries: (priority, seq, word, chain, move_index)
     heap: list[tuple[int, int, Word, tuple, int]] = [(0, 0, target, (), 0)]
     goal_cache: dict[tuple, list] = {}
+    heads = _head_table(p)
+    window_memo: dict[tuple, tuple[_Hit, ...]] = {}
     best: dict[tuple, int] = {target.ids: 0}
 
     for _ in range(fuel):
@@ -556,7 +607,7 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
         prio, seq, u, chain, k = heapq.heappop(heap)
         moves = goal_cache.get(u.ids)
         if moves is None:
-            moves = goal_cache[u.ids] = _goal_moves(p, u)
+            moves = goal_cache[u.ids] = _goal_moves(u, heads, window_memo)
         ucost = best.get(u.ids, prio)
 
         # schedule this state's next move
@@ -626,22 +677,56 @@ def _check_vars(used: frozenset, arity: int, what: str):
         raise ValueError(f"{what} uses variable {bad[0]!r} but has arity {arity}")
 
 
-def presentation_from_json(data: dict) -> Presentation:
-    gens = tuple(GenClause(g["family"], g["arity"], Pred.from_json(g["pred"]))
-                 for g in data["generators"])
-    for k, c in enumerate(gens):
-        _check_vars(c.pred.vars(), c.arity, f"generator clause {k} ({c.family!r})")
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _field(obj, key: str, kind: type, what: str, default=None):
+    """obj[key], or default when absent, checked to be of one JSON kind."""
+    if type(obj) is not dict:
+        raise ValueError(f"{what} must be an object")
+    value = obj.get(key, default)
+    if type(value) is not kind:
+        raise ValueError(f"{what} needs {key!r} as {_JSON_KINDS[kind]}")
+    return value
+
+
+def _nat_field(obj, key: str, what: str) -> int:
+    value = _field(obj, key, int, what)
+    if value < 0:
+        raise ValueError(f"{what} needs {key!r} at least 0, got {value}")
+    return value
+
+
+def presentation_from_json(data) -> Presentation:
+    """Inverse of `presentation_to_json`; malformed data raises ValueError."""
+    gens = []
+    for k, g in enumerate(_field(data, "generators", list, "presentation")):
+        what = f"generator clause {k}"
+        c = GenClause(_field(g, "family", str, what), _nat_field(g, "arity", what),
+                      Pred.from_json(g["pred"]))
+        _check_vars(c.pred.vars(), c.arity, f"{what} ({c.family!r})")
+        gens.append(c)
     rels = []
-    for k, r in enumerate(data["relators"]):
-        tpl = tuple(LetterTemplate(t["family"], t["exp"],
-                                   tuple(Poly.from_json(e) for e in t["index"]))
-                    for t in r["letters"])
-        s = RelatorSchema(r["arity"], tpl, Pred.from_json(r["constraint"]),
-                          r.get("mode", "decidable"), r.get("label", ""))
+    for k, r in enumerate(_field(data, "relators", list, "presentation")):
+        what = f"relator {k} ({_field(r, 'label', str, f'relator {k}', '')!r})"
+        tpl = []
+        for t in _field(r, "letters", list, what):
+            exp = _field(t, "exp", int, what)
+            if exp not in (1, -1):
+                raise ValueError(f"{what}: letter exponent must be 1 or -1, got {exp}")
+            index = _field(t, "index", list, what)
+            tpl.append(LetterTemplate(_field(t, "family", str, what), exp,
+                                      tuple(Poly.from_json(e) for e in index)))
+        mode = _field(r, "mode", str, what, "decidable")
+        if mode not in ("decidable", "enumerable"):
+            raise ValueError(f"{what}: unknown mode {mode!r}")
+        s = RelatorSchema(_nat_field(r, "arity", what), tuple(tpl),
+                          Pred.from_json(r["constraint"]), mode, r.get("label", ""))
         used = s.constraint.vars().union(*(e.vars() for t in tpl for e in t.index))
-        _check_vars(used, s.arity, f"relator {k} ({s.label!r})")
+        _check_vars(used, s.arity, what)
         rels.append(s)
-    return Presentation(data["label"], data["dim"], gens, tuple(rels))
+    return Presentation(_field(data, "label", str, "presentation"),
+                        _nat_field(data, "dim", "presentation"), tuple(gens), tuple(rels))
 
 
 def load_presentation(path: str) -> Presentation:

@@ -169,6 +169,11 @@ def enumerate_vectors(index: int) -> RatVec:
     return tuple(enumerate_rationals(e) for e in entries)
 
 
+def vector_arity(index: int) -> int:
+    """len(enumerate_vectors(index)), without building the vector."""
+    return 0 if index == 0 else unpair(index - 1)[0] + 1
+
+
 def vector_index(v: Sequence[Fraction]) -> int:
     """Inverse of enumerate_vectors."""
     if len(v) == 0:

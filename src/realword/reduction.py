@@ -76,21 +76,6 @@ class OpSubgroupSpec:
     scale_pairs: tuple[tuple[tuple[int, int], ...], ...] = ()
     pos_only: Optional[int] = None  # register whose letters take s > 0 only
 
-    def describe(self) -> str:
-        parts = [f"row {self.row}: base w({','.join(str(b) for b in self.base)})"]
-        if self.free:
-            parts.append(f"free a_(l,s) for l in {sorted(self.free)}")
-        for grp in self.shift_pairs:
-            parts.append("paired " + "".join(f"a_({r},{c}s)" if c != 1 else f"a_({r},s)"
-                                             for r, c in grp))
-        for grp in self.scale_pairs:
-            parts.append("paired " + "".join(f"m_({r},s^{c})" if c != 1 else f"m_({r},s)"
-                                             for r, c in grp))
-        if self.pos_only is not None:
-            fam = "m" if self.row == "lt" else "a"
-            parts.append(f"{fam}_({self.pos_only},s) for s > 0")
-        return "; ".join(parts)
-
 
 def _rv(i: int):
     # register i (1-based) as a predicate variable

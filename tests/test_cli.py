@@ -215,3 +215,36 @@ def test_out_of_range_variable_is_a_usage_error(where, tmp_path, capsys):
 def test_format_only_on_record_commands(command, capsys):
     assert main(command + ["--format", "jsonl"]) == 2
     assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+def _deep_neg(depth):
+    return ('{"op": "neg", "args": [' * depth + json.dumps(V0) + "]}" * depth)
+
+
+def _relator_text(index_json, exp=1):
+    data = {"label": "p", "dim": 1,
+            "generators": [{"family": "x", "arity": 1, "pred": {"op": "true"}}],
+            "relators": [{"arity": 1, "label": "r", "constraint": {"op": "true"},
+                          "letters": [{"family": "x", "exp": exp, "index": ["@"]},
+                                      _x(V0, -1)]}]}
+    return json.dumps(data).replace('"@"', index_json)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "presentation must be an object"),
+    (json.dumps({"label": "p", "dim": "two", "generators": [], "relators": []}),
+     "presentation needs 'dim' as an integer"),
+    (_relator_text(json.dumps({"op": "neg", "args": 5})), "'neg' node needs a list of 1 args"),
+    (_relator_text(_deep_neg(3000)), "JSON nested too deeply"),
+    (_relator_text(json.dumps({"op": "pow", "args": [V0], "k": -1})),
+     "pow exponent must be a natural number, got -1"),
+    (_relator_text(json.dumps(V0), exp=2),
+     "relator 0 ('r'): letter exponent must be 1 or -1, got 2"),
+], ids=["list", "dim-string", "args-int", "deep-neg", "negative-pow", "exp-2"])
+def test_malformed_presentation_is_a_usage_error(text, message, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    assert main(["wp", str(path), "--word", "x(0) . x(1)^-1", "--fuel", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction as F
 
 from realword.predicates import (FALSE, TRUE, Poly, Pred, conj, const, disj,
@@ -35,24 +36,40 @@ def test_pred_eval():
     assert negate(FALSE).eval(())
 
 
-def test_solve_unknown_shapes():
+SOLVE_CASES = [
     # bare variable
-    assert solve_unknown(var(1), F(7), {}) == (1, F(7))
+    (var(1), F(7), {}, (1, F(7))),
     # product with a known nonzero cofactor: n * p = 6 with p = 2
-    got = solve_unknown(var(2) * var(0), F(6), {0: F(2)})
-    assert got == (2, F(3))
+    (var(2) * var(0), F(6), {0: F(2)}, (2, F(3))),
     # zero cofactor is unsolvable
-    assert solve_unknown(var(2) * var(0), F(0), {0: F(0)}) is None
+    (var(2) * var(0), F(0), {0: F(0)}, None),
     # sums and negation
-    assert solve_unknown(var(0) + var(1), F(5), {0: F(2)}) == (1, F(3))
-    assert solve_unknown(var(0) - var(1), F(5), {0: F(2)}) == (1, F(-3))
-    assert solve_unknown(-var(1), F(4), {}) == (1, F(-4))
+    (var(0) + var(1), F(5), {0: F(2)}, (1, F(3))),
+    (var(0) - var(1), F(5), {0: F(2)}, (1, F(-3))),
+    (-var(1), F(4), {}, (1, F(-4))),
     # two unknowns: not solvable
-    assert solve_unknown(var(0) + var(1), F(1), {}) is None
+    (var(0) + var(1), F(1), {}, None),
     # the unknown in both operands: not solvable in one step, and the other
     # operand is never evaluated without it
-    assert solve_unknown(var(0) + var(0), F(2), {}) is None
-    assert solve_unknown(var(1) + var(1), F(6), {2: F(5)}) is None
+    (var(0) + var(0), F(2), {}, None),
+    (var(1) + var(1), F(6), {2: F(5)}, None),
+]
+
+
+def test_solve_unknown_shapes():
+    for expr, target, known, expected in SOLVE_CASES:
+        assert solve_unknown(expr, target, known) == expected
+
+
+def test_solve_unknown_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        for expr, target, known, _ in SOLVE_CASES:
+            solve_unknown(expr, target, known)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_shift_vars():

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from realword import presentations
 from realword.predicates import TRUE, eq, is_nat, ne, var
-from realword.presentations import (ActionRule, ArityMismatch, Certificate,
-                                    GenClause, LetterTemplate, Presentation,
-                                    RelatorSchema, SemiDecidableOnly,
+from realword.presentations import (ActionRule, ArityMismatch, CertEntry,
+                                    Certificate, GenClause, LetterTemplate,
+                                    Presentation, RelatorSchema,
+                                    SemiDecidableOnly,
                                     StableSpec, WordFamily, amalgamate,
                                     check_generator, check_relator,
                                     enumerate_conjugators, enumerate_relators,
@@ -17,9 +19,12 @@ from realword.presentations import (ActionRule, ArityMismatch, Certificate,
                                     presentation_from_json,
                                     presentation_to_json, verify_certificate,
                                     wp_semidecide)
-from realword.sample_groups import (circle_presentation, sl2_presentation,
+from realword.sample_groups import (BUILTIN_PRESENTATIONS,
+                                    circle_presentation, sl2_presentation,
                                     torus_presentation)
-from realword.words import EMPTY, GenSym, format_word, parse_word
+from realword.selftest import _corpus_identities, _corpus_refuted
+from realword.words import (EMPTY, GenSym, Word, concat, format_word, invert,
+                            parse_word)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -211,6 +216,51 @@ def test_wp_empty_word():
     assert cert is not None and cert.entries == ()
     assert verify_certificate(tor, EMPTY, cert)
     assert not verify_certificate(tor, parse_word("x(1/2)"), cert)
+
+
+# the goal-move generator before the per-search memo, kept as the reference
+def _goal_moves_unmemoised(p: Presentation, u: Word) -> list[tuple[CertEntry, Word]]:
+    """Certificate steps that strictly shorten u, by schema-prefix matching."""
+    out = []
+    ids = u.ids
+    letters = u.letters
+    n = len(letters)
+    schemas = [(si, s) for si, s in enumerate(p.relators) if s.mode == "decidable"]
+    for i in range(n):
+        for si, schema in schemas:
+            for L, params in schema.match_prefix(letters, i) or ():
+                tail = tuple(t.instantiate_id(params) for t in schema.template[L:])
+                u1 = concat(Word(ids[:i]), invert(Word(tail)), Word(ids[i + L:]))
+                if len(u1) < n:
+                    # the matched letters are the instance's first L letters
+                    entry = CertEntry(Word(ids[:i]), Word(ids[i:i + L] + tail), si, params)
+                    out.append((entry, u1))
+    return out
+
+
+def test_goal_moves_equal_the_unmemoised_moves(monkeypatch):
+    # every word the searches expand, with the memo as warm as the search
+    # left it, gets the same moves as a fresh match at every position
+    memoised = presentations._goal_moves
+    current = {}
+    expanded = 0
+
+    def both(u, heads, memo):
+        nonlocal expanded
+        moves = memoised(u, heads, memo)
+        assert moves == _goal_moves_unmemoised(current["p"], u)
+        expanded += 1
+        return moves
+
+    monkeypatch.setattr(presentations, "_goal_moves", both)
+    rng = random.Random(3)
+    for name in ("circle", "torus", "sl2", "rationals-a", "rationals-b"):
+        p = current["p"] = BUILTIN_PRESENTATIONS[name]()
+        for w in _corpus_identities(name, p, rng, 3):
+            assert wp_semidecide(p, w, 100_000) is not None
+        for w in _corpus_refuted(name, rng, 2):
+            assert wp_semidecide(p, w, 1500) is None
+    assert expanded > 1000
 
 
 def test_verify_rejects_corruption():

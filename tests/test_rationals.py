@@ -9,7 +9,7 @@ from realword.rationals import (DivisionByZero, enumerate_rationals,
                                 enumerate_vectors, format_rat, format_vec,
                                 pair, parse_rat, parse_vec, rat_op,
                                 rational_index, unpair, vec_of_arity,
-                                vector_index)
+                                vector_arity, vector_index)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -97,6 +97,7 @@ def test_vector_enumeration():
     assert len(set(vecs)) == 1000
     for i in range(0, 1000, 17):
         assert vector_index(vecs[i]) == i
+    assert [vector_arity(i) for i in range(1000)] == [len(v) for v in vecs]
 
 
 def test_small_vectors_appear_early():
