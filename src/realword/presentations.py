@@ -30,7 +30,7 @@ import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .predicates import (Poly, Pred, TRUE, conj, const, eq,
                          shift_pred, solve_unknown, var)
@@ -362,13 +362,6 @@ class IsoRealization:
     domain_pred: Optional[Pred] = None
     range_pred: Optional[Pred] = None
 
-    def check_inverse_on(self, samples: Iterable[Word]) -> bool:
-        """Spot-check that backward(forward(w)) reduces back to w."""
-        for w in samples:
-            if free_reduce(self.backward(self.forward(w))) != free_reduce(w):
-                return False
-        return True
-
 
 def amalgamate(p1: Presentation, p2: Presentation,
                a_family: Optional[WordFamily],
@@ -494,10 +487,24 @@ class Certificate:
 
     @staticmethod
     def from_json(data) -> "Certificate":
-        return Certificate(tuple(
-            CertEntry(parse_word(e["conjugator"]), parse_word(e["relator"]),
-                      e["schema"], tuple(parse_rat(x) for x in e["params"]))
-            for e in data))
+        """Entries as `to_json` writes them; any other shape is a ValueError."""
+        if not isinstance(data, list):
+            raise ValueError("a certificate is a JSON list of entries")
+        entries = []
+        for k, e in enumerate(data):
+            if not (isinstance(e, dict)
+                    and isinstance(e.get("conjugator"), str)
+                    and isinstance(e.get("relator"), str)
+                    and type(e.get("schema")) is int
+                    and isinstance(e.get("params"), list)
+                    and all(isinstance(x, str) for x in e["params"])):
+                raise ValueError(f"certificate entry {k} needs string conjugator "
+                                 "and relator, an integer schema and a list of "
+                                 "string params")
+            entries.append(CertEntry(parse_word(e["conjugator"]),
+                                     parse_word(e["relator"]), e["schema"],
+                                     tuple(parse_rat(x) for x in e["params"])))
+        return Certificate(tuple(entries))
 
 
 def verify_certificate(p: Presentation, w: Word, cert: Certificate) -> bool:

@@ -25,7 +25,6 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-Rat = Fraction
 RatVec = tuple[Fraction, ...]
 
 
@@ -180,17 +179,3 @@ def vector_index(v: Sequence[Fraction]) -> int:
         return 0
     m = _nat_tuple_index([rational_index(x) for x in v])
     return pair(len(v) - 1, m) + 1
-
-
-def vec_of_arity(arity: int, m: int) -> RatVec:
-    """m-th vector of exactly the given arity.
-
-    A fixed-arity order over Cantor tuples of rational indices; the relator
-    and conjugator streams enumerate `enumerate_vectors` instead.
-    """
-    if arity == 0:
-        if m != 0:
-            raise ValueError("there is a single vector of arity 0")
-        return ()
-    entries = _nat_tuple(arity, m)
-    return tuple(enumerate_rationals(e) for e in entries)

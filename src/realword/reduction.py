@@ -23,9 +23,10 @@ negative direction).
 The final assembly bundles a fueled membership test for
 U = < w(r) : some enumerated path accepts r >: a word belongs at fuel F when
 it decomposes into pattern factors and each factor's vector is accepted by
-some forced path found within the work budget.  Halting of a program on an
-input is then equivalent to triviality of the commutator t.w(r).t^-1.w(r)^-1
-in the extension that commutes the stable letter t with U, which is the
+some forced path found within the work budget.  The verdict depends only on
+the program, the word and F.  Halting of a program on an input is then
+equivalent to triviality of the commutator t.w(r).t^-1.w(r)^-1 in the
+extension that commutes the stable letter t with U, which is the
 differential check `check_reduction` runs.
 """
 
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import slp
 from .britton import (HnnStructure, commutator, commuting_structure,
                       hnn_is_identity)
 from .machine import BssProgram, mult_guard_transform, run
@@ -42,7 +44,7 @@ from .predicates import Pred, TRUE, conj, eq, ge, is_nat, lt as plt, ne, var
 from .presentations import (ActionRule, GenClause, LetterTemplate,
                             Presentation, StableSpec, hnn_extend)
 from .rationals import RatVec
-from .slp import Path, PathEnumerator, PathOp, path_extend, path_membership
+from .slp import Path, PathEnumerator, PathOp
 from .words import (GenSym, Word, encode_w, free_reduce,
                     nielsen_decompose)
 
@@ -279,7 +281,7 @@ def u_membership(path: Path, w: Word) -> bool:
     if decomp is None:
         return False
     for _, vec in decomp:
-        if len(vec) != path.d or path_extend(path, vec) is None:
+        if len(vec) != path.d or slp.replay(path, vec) is None:
             return False
     return True
 
@@ -293,7 +295,9 @@ class UHandle:
     Bundles the guarded program, its frozen path enumerator, the untagged
     and tagged pattern matchers, and work-budgeted membership: a word is a
     member at fuel F when every pattern factor's vector is accepted by some
-    forced path discovered within F forced-execution steps.
+    forced path found within F units, where a unit is one step level, one
+    forced step or one candidate path.  Every factor is charged for every
+    level it walks, so the verdict does not depend on earlier calls.
     """
 
     program: BssProgram
@@ -306,14 +310,22 @@ class UHandle:
             return False
         counter = [fuel]
         for _, vec in decomp:
+            # Replay accepts a forced path exactly when the guarded run on vec
+            # takes that path's branch outcomes (`execute` and `_Builder.emit`
+            # share semantics), so only the level of the run's halting step
+            # can accept.  Every level costs at least one unit, so if the run
+            # does not halt within the fuel left, no level the walk below can
+            # reach has an accepting path.
+            if not run(self.guarded, vec, counter[0], record_trace=False).halted:
+                return False
             d = len(vec)
             found = False
             steps = 0
             while counter[0] > 0 and not found:
-                counter[0] -= 1  # one unit per step level, even when cached
+                counter[0] -= 1  # one unit per step level
                 for path in self.enum.exact(d, steps, counter):
                     counter[0] -= 1  # one unit per candidate replay
-                    if path_membership(path, vec):
+                    if slp.replay(path, vec) is not None:
                         found = True
                         break
                 steps += 1
@@ -340,7 +352,7 @@ class UHandle:
             path = self.enum.path(int(n))
             if path is None or path.d != len(vec) - 1:
                 return False
-            if not path_membership(path, vec[1:]):
+            if slp.replay(path, vec[1:]) is None:
                 return False
         return True
 
@@ -421,23 +433,6 @@ def pattern_group_presentation() -> Presentation:
     return Presentation("pattern-free-group", 2,
                         (GenClause("x", 2, is_nat(var(0))),
                          GenClause("y", 0, TRUE)))
-
-
-@dataclass(frozen=True)
-class GroupHandles:
-    """Generator predicates splitting the x letters at input dimension d."""
-
-    d: int
-
-    def in_low(self, g: GenSym) -> bool:
-        if g.family == "y" and not g.index:
-            return True
-        return (g.family == "x" and len(g.index) == 2
-                and g.index[0].denominator == 1 and 0 <= g.index[0] <= self.d)
-
-    def in_high(self, g: GenSym) -> bool:
-        return (g.family == "x" and len(g.index) == 2
-                and g.index[0].denominator == 1 and g.index[0] > self.d)
 
 
 def extension_presentation() -> Presentation:

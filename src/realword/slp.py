@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .machine import BssProgram, Trace, advance, step, HALTED
-from .rationals import RatVec, unpair
+from .rationals import unpair
 
 PathOp = tuple  # ('assign', i, c) ('copy', i, j) ('add', i, j, k) ('neg', i, j)
 #                 ('mul', i, j, k) ('inv', i, j) ('geq', j) ('lt', j)
@@ -105,14 +105,6 @@ def replay(path: Path, input_vec: Sequence[Fraction]) -> Optional[tuple[Fraction
             if not vals[op[1]] < 0:
                 return None
     return tuple(vals[1:])
-
-
-def path_membership(path: Path, input_vec: Sequence[Fraction]) -> bool:
-    return replay(path, input_vec) is not None
-
-
-def path_extend(path: Path, input_vec: Sequence[Fraction]) -> Optional[RatVec]:
-    return replay(path, input_vec)
 
 
 class _Builder:
@@ -263,12 +255,18 @@ class PathEnumerator:
         self._exact: dict[tuple[int, int], list[Path]] = {}
 
     def exact(self, d: int, steps: int, counter: Optional[list[int]] = None) -> list[Path]:
+        """The (d, steps) level; a call with a counter walks it afresh.
+
+        Only uncounted calls (`block`, `path`) read and fill the memo, so a
+        fueled caller is charged the same forced steps however warm the
+        enumerator is.
+        """
+        if counter is not None:
+            return _forced_dfs(self.program, d, steps, counter)
         key = (d, steps)
         got = self._exact.get(key)
         if got is None:
-            got = _forced_dfs(self.program, d, steps, counter)
-            if counter is None or counter[0] > 0:
-                self._exact[key] = got
+            got = self._exact[key] = _forced_dfs(self.program, d, steps)
         return got
 
     def block(self, b: int) -> list[Path]:
@@ -284,10 +282,3 @@ class PathEnumerator:
         b, k = unpair(n)
         block = self.block(b)
         return block[k] if k < len(block) else None
-
-
-def enumerate_paths(program: BssProgram, n: int,
-                    enumerator: Optional[PathEnumerator] = None) -> Optional[Path]:
-    """n-th forced halting path of a zero-guarded program, or None (skip)."""
-    en = enumerator or PathEnumerator(program)
-    return en.path(n)

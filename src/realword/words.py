@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 from .rationals import RatVec, format_rat, parse_rat
@@ -166,11 +167,8 @@ def free_reduce(w: Word) -> Word:
 
 
 def concat(*ws: Word) -> Word:
-    """Freely reduced concatenation."""
-    out: tuple[int, ...] = ()
-    for w in ws:
-        out = _concat_ids(out, _reduce_ids(w._ids) if not w.is_reduced() else w._ids)
-    return Word(out)
+    """Freely reduced concatenation: one stack scan over all operands."""
+    return Word(_reduce_ids(chain.from_iterable(w._ids for w in ws)))
 
 
 def invert(w: Word) -> Word:
@@ -188,8 +186,15 @@ def format_word(w: Word) -> str:
     return " . ".join(parts)
 
 
+# largest |k| that `parse_word` expands for a `^k` suffix
+MAX_EXPONENT = 10_000
+
+
 def parse_word(text: str) -> Word:
-    """Parse dot-separated letters; `^k` repeats (only ^-1 is ever printed)."""
+    """Parse dot-separated letters; `^k` repeats (only ^-1 is ever printed).
+
+    |k| above MAX_EXPONENT is rejected before anything is expanded.
+    """
     s = text.strip()
     if s in ("", "1"):
         return EMPTY
@@ -206,6 +211,9 @@ def parse_word(text: str) -> Word:
                 raise ValueError(f"bad exponent {e!r} in {chunk!r}") from None
             if exp == 0:
                 raise ValueError(f"zero exponent in {chunk!r}")
+            if abs(exp) > MAX_EXPONENT:
+                raise ValueError(f"exponent {exp} in {chunk!r} exceeds "
+                                 f"{MAX_EXPONENT} in absolute value")
         if "(" in tok:
             fam, _, rest = tok.partition("(")
             if not rest.endswith(")"):

@@ -248,3 +248,27 @@ def test_malformed_presentation_is_a_usage_error(text, message, tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("data, message", [
+    ([1], "certificate entry 0 needs"),
+    ([{"conjugator": "1", "relator": "1", "schema": "0", "params": []}],
+     "certificate entry 0 needs"),
+    ({"entries": []}, "a certificate is a JSON list"),
+], ids=["int-entry", "schema-string", "object"])
+def test_malformed_certificate_is_a_usage_error(data, message, tmp_path, capsys):
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps(data))
+    assert main(["verify", "torus", "--word", "x(1/3)", "--cert", str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_word_exponent_above_cap_is_a_usage_error(capsys):
+    from realword.words import MAX_EXPONENT
+    assert main(["wp", "torus", "--word", f"x(1/3)^{MAX_EXPONENT + 1}",
+                 "--fuel", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds" in captured.err

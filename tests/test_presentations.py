@@ -309,19 +309,6 @@ def test_dimension_bound_under_constructions():
         assert hnn_extend(p1, StableSpec("t", 0), ()).dim <= d1 + 1
 
 
-def test_iso_realization_inverse_check():
-    from realword.presentations import IsoRealization
-    from realword.reduction import stable_conjugate
-    fwd = lambda w: stable_conjugate(GenSym("a", (F(1), F(5))), w)
-    back = lambda w: stable_conjugate((GenSym("a", (F(1), F(5))), -1), w)
-    iso = IsoRealization(fwd, back)
-    from realword.words import encode_w
-    samples = [encode_w((F(1),)), encode_w((F(2), F(3))), EMPTY]
-    assert iso.check_inverse_on(samples)
-    broken = IsoRealization(fwd, fwd)
-    assert not broken.check_inverse_on(samples)
-
-
 def test_enumerate_relators_on_constructed_presentations():
     # constructor coherence: emitted instances pass the decidable matcher
     tp = free_product(torus_presentation(), free_pres(1, "f"))

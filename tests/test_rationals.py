@@ -8,8 +8,8 @@ import pytest
 from realword.rationals import (DivisionByZero, enumerate_rationals,
                                 enumerate_vectors, format_rat, format_vec,
                                 pair, parse_rat, parse_vec, rat_op,
-                                rational_index, unpair, vec_of_arity,
-                                vector_arity, vector_index)
+                                rational_index, unpair, vector_arity,
+                                vector_index)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -115,23 +115,13 @@ def test_vector_enumeration_golden():
     assert got == golden
 
 
-def test_vec_of_arity():
-    assert vec_of_arity(0, 0) == ()
-    with pytest.raises(ValueError):
-        vec_of_arity(0, 1)
-    seen = set()
-    for m in range(500):
-        v = vec_of_arity(2, m)
-        assert len(v) == 2
-        seen.add(v)
-    assert len(seen) == 500
-
-
 def test_deep_vector_round_trip():
     # unpairing is iterative, so arities past the recursion limit work
     for m in (0, 5, 123_456):
-        v = vec_of_arity(3000, m)
+        n = pair(2999, m) + 1  # the m-th vector of arity 3000
+        v = enumerate_vectors(n)
         assert len(v) == 3000
+        assert vector_index(v) == n
         assert enumerate_vectors(vector_index(v)) == v
     zeros = (F(0),) * 1100
     assert enumerate_vectors(vector_index(zeros)) == zeros

@@ -5,7 +5,7 @@ import pytest
 
 from realword.machine import mult_guard_transform, parse_program, run
 from realword.programs import ALL_PROGRAMS, halt_program, sign_program
-from realword.reduction import (GroupHandles, ZeroScale, assemble_u, build_W,
+from realword.reduction import (ZeroScale, assemble_u, build_W,
                                 check_reduction, extension_presentation,
                                 l_reachability_check, path_constants,
                                 pattern_group_presentation, reduce_halting,
@@ -13,9 +13,10 @@ from realword.reduction import (GroupHandles, ZeroScale, assemble_u, build_W,
                                 v_membership, w_membership, word_constants)
 from realword.britton import hnn_is_identity
 from realword.presentations import check_generator, check_relator
-from realword.slp import extract_path, path_extend
+from realword.slp import _forced_dfs, extract_path, replay
 from realword.words import (EMPTY, GenSym, Word, concat, encode_w,
-                            encode_w_tagged, format_word, invert, parse_word)
+                            encode_w_tagged, format_word, invert,
+                            nielsen_decompose, parse_word)
 
 
 def sign_path():
@@ -96,7 +97,7 @@ def test_stable_conjugate():
 
 def test_v_membership():
     p = sign_path()
-    full = path_extend(p, (F(2),))
+    full = replay(p, (F(2),))
     assert v_membership(p, full)
     assert not v_membership(p, (F(2), F(-1), F(0)))
     trivial = extract_path(run(halt_program(), (F(1),), 5).trace, 1)
@@ -184,12 +185,6 @@ def test_pattern_group_presentation():
     assert check_generator(g, GenSym("x", (F(0), F(5))))
     assert check_generator(g, GenSym("y"))
     assert not check_generator(g, GenSym("x", (F(1, 2), F(5))))
-    handles = GroupHandles(2)
-    assert handles.in_low(GenSym("x", (F(2), F(5))))
-    assert handles.in_low(GenSym("y"))
-    assert not handles.in_low(GenSym("x", (F(3), F(5))))
-    assert handles.in_high(GenSym("x", (F(3), F(5))))
-    assert not handles.in_high(GenSym("y"))
 
 
 def test_extension_presentation_realizes_action():
@@ -247,7 +242,7 @@ def test_v_membership_of_extensions():
             if not res.halted:
                 continue
             p = extract_path(res.trace, 1)
-            full = path_extend(p, (x,))
+            full = replay(p, (x,))
             assert full is not None
             assert v_membership(p, full), (name, x)
 
@@ -270,3 +265,80 @@ def test_member_within_fuel_boundary(name, x, fuel):
     w = encode_w((x,))
     assert assemble_u(prog).member_within(w, fuel)
     assert not assemble_u(prog).member_within(w, fuel - 1)
+
+
+def reference_member_within(program, w, fuel):
+    """`UHandle.member_within` as it was before the guarded run, on a fresh
+    handle: fueled levels cached when the counter did not run out."""
+    guarded = mult_guard_transform(program)
+    cache = {}
+
+    def exact(d, steps, counter):
+        key = (d, steps)
+        got = cache.get(key)
+        if got is None:
+            got = _forced_dfs(guarded, d, steps, counter)
+            if counter is None or counter[0] > 0:
+                cache[key] = got
+        return got
+
+    decomp = nielsen_decompose(w)
+    if decomp is None:
+        return False
+    counter = [fuel]
+    for _, vec in decomp:
+        d = len(vec)
+        found = False
+        steps = 0
+        while counter[0] > 0 and not found:
+            counter[0] -= 1  # one unit per step level, even when cached
+            for path in exact(d, steps, counter):
+                counter[0] -= 1  # one unit per candidate replay
+                if replay(path, vec) is not None:
+                    found = True
+                    break
+            steps += 1
+        if not found:
+            return False
+    return True
+
+
+# one input per program the guarded program never halts on
+NON_HALTING = [("sign", F(0)), ("double", F(1)), ("recip", F(0)),
+               ("square", F(1)), ("poly3", F(0))]
+
+
+def _warm_handle(name):
+    uh = assemble_u(ALL_PROGRAMS[name]())
+    for x in (F(5), F(-1), F(1, 2), F(3)):
+        uh.member_within(encode_w((x,)), 2000)
+    uh.enum.block(12)
+    return uh
+
+
+def test_member_within_matches_reference():
+    # the guarded run keeps every verdict of the level walk at every fuel,
+    # on a fresh handle and on one warmed by other inputs
+    cases = [(name, x, range(fuel + 3)) for name, x, fuel in FUEL_BOUNDARY]
+    cases += [(name, x, [*range(51), 10_000]) for name, x in NON_HALTING]
+    warm = {}
+    compared = 0
+    for name, x, fuels in cases:
+        prog = ALL_PROGRAMS[name]()
+        w = encode_w((x,))
+        if name not in warm:
+            warm[name] = _warm_handle(name)
+        for fuel in fuels:
+            expect = reference_member_within(prog, w, fuel)
+            assert assemble_u(prog).member_within(w, fuel) == expect, (name, x, fuel)
+            assert warm[name].member_within(w, fuel) == expect, (name, x, fuel)
+            compared += 1
+    assert compared == 3088 + 5 * 52
+
+
+def test_warm_batch_agrees_with_one_shot():
+    # a handle that checked 5 first charges 3 exactly what a fresh one does
+    for fuel in range(12):
+        warm = check_reduction(sign_program(), [(F(5),), (F(3),)], fuel)[1]
+        cold = check_reduction(sign_program(), [(F(3),)], fuel)[0]
+        assert warm["group"] == cold["group"], fuel

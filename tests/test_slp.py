@@ -8,8 +8,7 @@ import pytest
 from realword.machine import mult_guard_transform, parse_program, run
 from realword.programs import halt_program, sign_program, square_program
 from realword.slp import (MalformedTrace, Path as SlpPath, PathEnumerator,
-                          enumerate_paths, extract_path, path_extend,
-                          path_membership, replay)
+                          extract_path, replay)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -59,21 +58,20 @@ def test_extract_branch_to_next_label():
 
 def test_membership_and_extend():
     p = extract_path(sign_trace(2), 1)
-    assert path_membership(p, (F(2),))
-    assert not path_membership(p, (F(0),))
-    assert path_extend(p, (F(2),)) == (F(2), F(-1), F(1))
-    assert path_extend(p, (F(1, 2),)) is None
+    assert replay(p, (F(0),)) is None
+    assert replay(p, (F(2),)) == (F(2), F(-1), F(1))
+    assert replay(p, (F(1, 2),)) is None
     # membership boundary: the guard is >= 0, so exactly r1 >= 1
-    assert path_membership(p, (F(1),))
-    assert not path_membership(p, (F(9, 10),))
+    assert replay(p, (F(1),)) is not None
+    assert replay(p, (F(9, 10),)) is None
 
 
 def test_noguard_path_accepts_everything():
     p = SlpPath(1, 2, (("assign", 2, F(7)),))
     for x in (F(0), F(-3), F(11, 7)):
-        assert path_membership(p, (x,))
+        assert replay(p, (x,)) is not None
     trivial = SlpPath(2, 2, ())
-    assert path_extend(trivial, (F(1), F(2))) == (F(1), F(2))
+    assert replay(trivial, (F(1), F(2))) == (F(1), F(2))
 
 
 def test_path_validation():
@@ -113,7 +111,7 @@ def test_same_branch_class_replay():
         res = run(prog, (x,), 100)
         other = extract_path(res.trace, 1)
         assert other == base  # same branch outcomes give the same path
-        ext = path_extend(base, (x,))
+        ext = replay(base, (x,))
         assert ext is not None and ext[0] == x
 
 
@@ -136,14 +134,14 @@ def test_enumeration_accepting_path_found():
             and p.d == 1 and p.guard_string == "1"]
     assert hits, "accepting path must appear among the first 100 indices"
     p = en.path(hits[0])
-    assert path_membership(p, (F(2),))
+    assert replay(p, (F(2),)) is not None
 
 
 def test_enumeration_distinct_and_valid():
     en = PathEnumerator(sign_program())
     seen = set()
     for n in range(300):
-        p = enumerate_paths(sign_program(), n, en)
+        p = en.path(n)
         if p is None:
             continue
         key = (p.d, p.guard_string)
@@ -163,7 +161,7 @@ def test_desk_scale_path_completeness():
         found = False
         for n in range(2000):
             p = en.path(n)
-            if p is not None and p.d == 1 and path_membership(p, (x,)):
+            if p is not None and p.d == 1 and replay(p, (x,)) is not None:
                 found = True
                 break
         assert found, x
@@ -182,4 +180,4 @@ def test_path_soundness_all_programs():
             if not res.halted:
                 continue
             p = extract_path(res.trace, 1)
-            assert path_membership(p, (x,)), (name, x)
+            assert replay(p, (x,)) is not None, (name, x)

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from realword.words import (EMPTY, CapExceeded, GenSym, Word, concat,
-                            encode_w, encode_w_tagged, format_word,
+from realword.words import (EMPTY, MAX_EXPONENT, CapExceeded, GenSym, Word,
+                            concat, encode_w, encode_w_tagged, format_word,
                             free_reduce, invert, nielsen_decompose,
                             parse_word, pattern_product, span_decide, word)
 
@@ -56,6 +56,15 @@ def test_concat_associative():
         assert concat(concat(u, v), z) == concat(u, concat(v, z))
 
 
+def test_concat_reduces_unreduced_operands():
+    # the free reduction of the joined letters, whatever the operands' state
+    rng = random.Random(5)
+    for _ in range(500):
+        ws = [rand_word(rng, GENS[:3], 10) for _ in range(rng.randint(0, 4))]
+        joined = Word(tuple(v for w in ws for v in w.ids))
+        assert concat(*ws) == free_reduce(joined)
+
+
 def test_not_auto_reduced():
     g = GenSym("x", (F(1),))
     w = word((g, 1), (g, -1))
@@ -75,6 +84,14 @@ def test_parse_format_roundtrip():
         parse_word("x(1)^z")
     with pytest.raises(ValueError):
         parse_word("x(1)^0")
+
+
+def test_parse_word_exponent_cap():
+    assert len(parse_word(f"x(1)^{MAX_EXPONENT}")) == MAX_EXPONENT
+    assert len(parse_word(f"x(1)^-{MAX_EXPONENT}")) == MAX_EXPONENT
+    for k in (MAX_EXPONENT + 1, -MAX_EXPONENT - 1):
+        with pytest.raises(ValueError, match="exceeds"):
+            parse_word(f"y . x(1)^{k}")
 
 
 def test_encode_w():
