@@ -22,7 +22,7 @@ from .presentations import (Certificate, load_presentation, verify_certificate,
                             wp_semidecide)
 from .programs import ALL_PROGRAMS
 from .rationals import format_vec, parse_vec
-from .reduction import build_W, check_reduction, l_reachability_check, reduce_halting, w_membership
+from .reduction import build_W, check_reduction, l_reachability_check, w_membership
 from .sample_groups import BUILTIN_PRESENTATIONS, ORACLES
 from .selftest import ALL_CHECKS, positive_sample, row_cases
 from .slp import PathEnumerator
@@ -68,7 +68,7 @@ def _emit(records, fmt: str):
 def cmd_run(args) -> int:
     prog = _load_program(args.program)
     vec = parse_vec(args.input)
-    res = run(prog, vec, args.fuel, record_trace=False)
+    res = run(prog, vec, args.fuel)
     rec = {"status": res.status, "steps": res.steps}
     if res.output is not None:
         rec["output"] = format_vec(res.trimmed_output)
@@ -130,10 +130,9 @@ def cmd_hnn_reduce(args) -> int:
 def cmd_reduce(args) -> int:
     prog = _load_program(args.program)
     vec = parse_vec(args.input)
-    query, comm = reduce_halting(prog, vec)
     report = check_reduction(prog, [vec], args.fuel)[0]
-    _emit([{"query": format_word(query),
-            "commutator": format_word(comm),
+    _emit([{"query": format_word(report["query"]),
+            "commutator": format_word(report["commutator"]),
             "simulated": report["simulated"],
             "group": report["group"],
             "agree": report["agree"]}], args.format)

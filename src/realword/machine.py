@@ -26,12 +26,13 @@ Division by zero is not an error value: the machine is considered to
 diverge on that input, and `mult_guard_transform` rewrites programs so that
 every multiplication is preceded by explicit zero tests (assigning 0
 directly when a factor is 0) and every division diverges explicitly on a
-zero divisor.  Extracted straight-line paths of transformed programs
-therefore never invert or multiply by an unguarded zero.
+zero divisor.  Straight-line paths of transformed programs therefore never
+invert or multiply by an unguarded zero.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -165,22 +166,11 @@ def step(program: BssProgram, config: Configuration):
     return Configuration(n, i, j, _pack(regs))
 
 
-TraceStep = tuple[Configuration, Instruction, Optional[bool]]
-
-
-@dataclass(frozen=True)
-class Trace:
-    program: BssProgram
-    d: int
-    steps: tuple[TraceStep, ...]
-
-
 @dataclass(frozen=True)
 class RunResult:
     status: str  # halted | out_of_fuel | division_by_zero
     steps: int
     output: Optional[RatVec] = None
-    trace: Optional[Trace] = None
     final: Optional[Configuration] = None
 
     @property
@@ -197,13 +187,11 @@ class RunResult:
         return tuple(out)
 
 
-def run(program: BssProgram, input_vec: Sequence[Fraction], fuel: int,
-        record_trace: bool = True) -> RunResult:
+def run(program: BssProgram, input_vec: Sequence[Fraction], fuel: int) -> RunResult:
     """Execute at most `fuel` steps from the initial configuration."""
     # the inputs and every written register, so a halting run outputs 1..max(regs)
     regs = {k + 1: Fraction(v) for k, v in enumerate(input_vec)}
     n = i = j = 1
-    steps: list[TraceStep] = []
     status, output, count = "out_of_fuel", None, fuel  # fuel < 0 runs no step
     for count in range(fuel + 1):
         ins = program.instructions[n - 1]
@@ -213,19 +201,21 @@ def run(program: BssProgram, input_vec: Sequence[Fraction], fuel: int,
             break
         if count == fuel:
             break
-        cfg = Configuration(n, i, j, _pack(regs)) if record_trace else None
         try:
-            (n, i, j), taken = execute(ins, regs, n, i, j)
+            (n, i, j), _ = execute(ins, regs, n, i, j)
         except DivisionByZero:
             status = "division_by_zero"
             break
-        if record_trace:
-            steps.append((cfg, ins, taken))
-    trace = Trace(program, len(input_vec), tuple(steps)) if record_trace else None
-    return RunResult(status, count, output, trace, Configuration(n, i, j, _pack(regs)))
+    return RunResult(status, count, output, Configuration(n, i, j, _pack(regs)))
 
 
 # -- assembly text format ------------------------------------------------------
+
+# largest register index the assembly format accepts; a program names its
+# registers literally, so this also bounds the output vector of a run
+MAX_REGISTER = 10_000
+# no more digits than MAX_REGISTER has, so int() never reads a huge index
+_REGISTER_TOKEN = re.compile(rf"r0*([0-9]{{1,{len(str(MAX_REGISTER))}}})")
 
 _OPERANDS = {"halt": 0, "set": 2, "add": 3, "sub": 3, "mul": 3, "div": 3,
              "brgeq": 1, "copy": 0}
@@ -259,9 +249,11 @@ def parse_program(text: str) -> BssProgram:
             raise ValueError(f"{name} takes no i+ i0 j+ j0 suffix in {raw!r}")
 
         def reg(tok: str) -> int:
-            if not tok.startswith("r"):
-                raise ValueError(f"expected register, got {tok!r}")
-            return int(tok[1:])
+            m = _REGISTER_TOKEN.fullmatch(tok)
+            if m is None or int(m[1]) > MAX_REGISTER:
+                raise ValueError(f"expected a register r0..r{MAX_REGISTER}, "
+                                 f"got {tok!r} in {raw!r}")
+            return int(m[1])
 
         if name == "halt":
             out.append(Instruction(label, "halt"))

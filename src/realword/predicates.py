@@ -101,17 +101,33 @@ class Poly:
                 raise ValueError(f"const value must be a string, got {value!r}")
             return const(parse_rat(value))
         if op == "var":
-            return var(node["i"])
-        if op not in _POLY_ARITY:
+            i = node["i"]
+            if type(i) is not int:
+                raise ValueError(f"var index must be an integer, got {i!r}")
+            return var(i)
+        if type(op) is not str or op not in _POLY_ARITY:  # a list op is unhashable
             raise ValueError(f"unknown polynomial op {op!r}")
         k = node.get("k", 0)
         if op == "pow" and not (type(k) is int and k >= 0):
             raise ValueError(f"pow exponent must be a natural number, got {k!r}")
-        args = _json_args(node, _POLY_ARITY[op])
-        return Poly(op, tuple(Poly.from_json(a) for a in args), k=k)
+        args = tuple(Poly.from_json(a) for a in _json_args(node, _POLY_ARITY[op]))
+        if op == "pow" and k * (inner := _pow_product(args[0])) > MAX_POW_EXPONENT:
+            raise ValueError(f"pow exponent {k} exceeds {MAX_POW_EXPONENT // inner} (nested "
+                             f"pow exponents multiply to at most {MAX_POW_EXPONENT})")
+        return Poly(op, args, k=k)
 
 
 _POLY_ARITY = {"add": 2, "sub": 2, "mul": 2, "neg": 1, "pow": 1}
+
+# largest product of the exponents of pow nodes nested in one another that
+# JSON input may ask for, so evaluating a parsed polynomial stays small
+MAX_POW_EXPONENT = 100
+
+
+def _pow_product(p: Poly) -> int:
+    """Largest product of the exponents along a chain of nested pow nodes."""
+    inner = max((_pow_product(a) for a in p.args), default=1)
+    return inner * max(p.k, 1) if p.op == "pow" else inner
 
 
 def _json_op(node, what: str) -> str:

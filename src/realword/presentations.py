@@ -40,11 +40,11 @@ from .words import (EMPTY, GenSym, Word, _concat_ids, concat, format_word,
                     free_reduce, intern_parts, invert, parse_word)
 
 
-class ArityMismatch(Exception):
+class ArityMismatch(ValueError):
     """Generator index arity exceeds the presentation dimension."""
 
 
-class SemiDecidableOnly(Exception):
+class SemiDecidableOnly(ValueError):
     """Relator membership was queried on a merely enumerable schema set."""
 
 
@@ -346,23 +346,6 @@ class WordFamily:
     constraint: Pred = TRUE
 
 
-@dataclass(frozen=True)
-class IsoRealization:
-    """A realized isomorphism between subgroups: mutually inverse word maps.
-
-    `forward` and `backward` send generator words across; the optional
-    predicates delimit the domain and range generator families.  Template
-    forms (when a map is expressible as letter templates) are what the
-    presentation constructors can turn into decidable relator schemas;
-    callables are accepted everywhere but leave schemas enumerable.
-    """
-
-    forward: Callable[[Word], Word]
-    backward: Callable[[Word], Word]
-    domain_pred: Optional[Pred] = None
-    range_pred: Optional[Pred] = None
-
-
 def amalgamate(p1: Presentation, p2: Presentation,
                a_family: Optional[WordFamily],
                image: Optional[tuple[LetterTemplate, ...]] = None,
@@ -372,15 +355,13 @@ def amalgamate(p1: Presentation, p2: Presentation,
 
     `a_family` describes the identified subgroup generators v inside p1 (over
     shared parameters); their images inside p2 come either as letter
-    templates over the same parameters (decidable result) or as a word map /
-    IsoRealization (enumerable result).  With no family at all this is the
-    plain free product.
+    templates over the same parameters (decidable result) or as a word map
+    (enumerable result).  With no family at all this is the plain free
+    product.
     """
     base = free_product(p1, p2, label=label)
     if a_family is None:
         return base
-    if isinstance(forward, IsoRealization):
-        forward = forward.forward
     fam_tagged = tuple(LetterTemplate(t.family, t.exp, t.index + (const(1),))
                        for t in a_family.letters)
     if image is not None:

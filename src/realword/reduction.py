@@ -300,7 +300,6 @@ class UHandle:
     level it walks, so the verdict does not depend on earlier calls.
     """
 
-    program: BssProgram
     guarded: BssProgram
     enum: PathEnumerator
 
@@ -316,7 +315,7 @@ class UHandle:
             # can accept.  Every level costs at least one unit, so if the run
             # does not halt within the fuel left, no level the walk below can
             # reach has an accepting path.
-            if not run(self.guarded, vec, counter[0], record_trace=False).halted:
+            if not run(self.guarded, vec, counter[0]).halted:
                 return False
             d = len(vec)
             found = False
@@ -359,7 +358,7 @@ class UHandle:
 
 def assemble_u(program: BssProgram) -> UHandle:
     guarded = mult_guard_transform(program)
-    return UHandle(program, guarded, PathEnumerator(guarded))
+    return UHandle(guarded, PathEnumerator(guarded))
 
 
 # -- the reduction map and its differential check -----------------------------------
@@ -396,17 +395,16 @@ def check_reduction(program: BssProgram, inputs: Sequence[Sequence[Fraction]],
     report = []
     for raw in inputs:
         vec = tuple(Fraction(x) for x in raw)
-        sim = run(program, vec, fuel, record_trace=False)
+        sim = run(program, vec, fuel)
         query, comm = reduce_halting(program, vec)
         member = hnn_is_identity(struct, comm)
         simulated = "halt" if sim.halted else "inconclusive"
         group = "member" if member else "not-within-fuel"
-        agree = (sim.halted == member)
         report.append({
             "input": vec,
             "simulated": simulated,
             "group": group,
-            "agree": agree or (not sim.halted and not member),
+            "agree": sim.halted == member,
             "conclusive": sim.halted or member,
             "query": query,
             "commutator": comm,

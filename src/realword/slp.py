@@ -5,16 +5,17 @@ the input, every later register d < i <= D is assigned exactly once by an
 operation over earlier registers only, and guards pin down the branch
 outcomes taken along the way.  The operation alphabet is deliberately small
 (assign / copy / add / neg / mul / inv / geq / lt): machine subtraction and
-division are split into neg+add and inv+mul during extraction.
+division are split into neg+add and inv+mul as a path is built.
 
 The input set of a path (the inputs that follow exactly its branch
 outcomes) is decided by replaying the operations and checking every guard;
 the replay also produces the unique single-assignment extension
 (r_1,...,r_D) of a member input.
 
-Extraction and forced runs share `_Builder.emit`, the one symbolic
-(single-assignment) semantics; forced runs take control flow from
-`machine.advance`, as concrete runs do.
+`run_path` (the path of one concrete run) and forced runs share
+`_Builder.emit`, the one symbolic (single-assignment) semantics; concrete
+runs take control flow from `machine.execute`, forced runs from
+`machine.advance`.
 
 Paths are enumerated without input values by running the machine "forced":
 branch outcomes come from an explicit decision string instead of register
@@ -33,17 +34,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .machine import BssProgram, Trace, advance, step, HALTED
-from .rationals import unpair
+from .machine import BssProgram, advance, execute
+from .rationals import DivisionByZero, unpair
 
 PathOp = tuple  # ('assign', i, c) ('copy', i, j) ('add', i, j, k) ('neg', i, j)
 #                 ('mul', i, j, k) ('inv', i, j) ('geq', j) ('lt', j)
 
 _VALUE_OPS = ("assign", "copy", "add", "neg", "mul", "inv")
-
-
-class MalformedTrace(Exception):
-    """Trace steps are not related by the machine's small-step function."""
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,7 @@ def replay(path: Path, input_vec: Sequence[Fraction]) -> Optional[tuple[Fraction
 
 
 class _Builder:
-    """Shared single-assignment renaming for trace extraction and forced runs."""
+    """Shared single-assignment renaming for concrete and forced runs."""
 
     def __init__(self, d: int):
         self.regmap = {r: r for r in range(1, d + 1)}
@@ -178,21 +175,29 @@ class _Builder:
         return Path(d, self.next - 1, tuple(self.ops), "".join(self.bits))
 
 
-def extract_path(trace: Trace, d: int) -> Path:
-    """Single-assignment straight-line program with guards for a halting trace."""
-    if d != trace.d:
-        raise MalformedTrace(f"trace input dimension is {trace.d}, not {d}")
+def run_path(program: BssProgram, input_vec: Sequence[Fraction],
+             fuel: int) -> Optional[Path]:
+    """The path of the run on `input_vec` if it halts within `fuel` steps, else None.
+
+    The concrete registers decide each branch as `_Builder.emit` records it.
+    """
+    d = len(input_vec)
+    regs = {k + 1: Fraction(v) for k, v in enumerate(input_vec)}
     b = _Builder(d)
-    for k, (cfg, ins, taken) in enumerate(trace.steps):
-        if trace.program.instructions[cfg.n - 1] is not ins:
-            raise MalformedTrace(f"instruction at step {k} does not match its label")
-        nxt = step(trace.program, cfg)
-        if nxt is HALTED:
-            raise MalformedTrace(f"halt configuration recorded as a step at {k}")
-        if k + 1 < len(trace.steps) and nxt != trace.steps[k + 1][0]:
-            raise MalformedTrace(f"configurations at steps {k},{k + 1} are not step-related")
-        b.emit(ins, cfg.i, cfg.j, taken)
-    return b.path(d)
+    n = i = j = 1
+    for count in range(fuel + 1):
+        ins = program.instructions[n - 1]
+        if ins.kind == "halt":
+            return b.path(d)
+        if count == fuel:
+            break
+        try:
+            nxt, taken = execute(ins, regs, n, i, j)
+        except DivisionByZero:
+            break
+        b.emit(ins, i, j, taken)
+        n, i, j = nxt
+    return None
 
 
 # -- forced (value-free) execution and path enumeration ------------------------
@@ -252,22 +257,15 @@ class PathEnumerator:
     def __init__(self, program: BssProgram):
         self.program = program
         self._blocks: dict[int, list[Path]] = {}
-        self._exact: dict[tuple[int, int], list[Path]] = {}
 
     def exact(self, d: int, steps: int, counter: Optional[list[int]] = None) -> list[Path]:
-        """The (d, steps) level; a call with a counter walks it afresh.
+        """The (d, steps) level, walked afresh on every call.
 
-        Only uncounted calls (`block`, `path`) read and fill the memo, so a
-        fueled caller is charged the same forced steps however warm the
-        enumerator is.
+        Level (d, steps) lies in block d + steps only, so the block memo is
+        the one cache; a fueled caller is charged the same forced steps
+        however warm the enumerator is.
         """
-        if counter is not None:
-            return _forced_dfs(self.program, d, steps, counter)
-        key = (d, steps)
-        got = self._exact.get(key)
-        if got is None:
-            got = self._exact[key] = _forced_dfs(self.program, d, steps)
-        return got
+        return _forced_dfs(self.program, d, steps, counter)
 
     def block(self, b: int) -> list[Path]:
         got = self._blocks.get(b)

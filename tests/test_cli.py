@@ -3,6 +3,8 @@ import json
 import pytest
 
 from realword.cli import main
+from realword.machine import MAX_REGISTER
+from realword.predicates import MAX_POW_EXPONENT
 from realword.programs import SIGN_SRC
 
 
@@ -238,9 +240,14 @@ def _relator_text(index_json, exp=1):
     (_relator_text(_deep_neg(3000)), "JSON nested too deeply"),
     (_relator_text(json.dumps({"op": "pow", "args": [V0], "k": -1})),
      "pow exponent must be a natural number, got -1"),
+    (_relator_text(json.dumps({"op": "pow", "args": [V0], "k": MAX_POW_EXPONENT + 1})),
+     f"pow exponent {MAX_POW_EXPONENT + 1} exceeds"),
     (_relator_text(json.dumps(V0), exp=2),
      "relator 0 ('r'): letter exponent must be 1 or -1, got 2"),
-], ids=["list", "dim-string", "args-int", "deep-neg", "negative-pow", "exp-2"])
+    (_relator_text(json.dumps({"op": [], "i": 0})), "unknown polynomial op []"),
+    (_relator_text(json.dumps({"op": "var", "i": []})), "var index must be an integer"),
+], ids=["list", "dim-string", "args-int", "deep-neg", "negative-pow", "pow-over-cap",
+        "exp-2", "op-list", "var-index-list"])
 def test_malformed_presentation_is_a_usage_error(text, message, tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(text)
@@ -265,6 +272,13 @@ def test_malformed_certificate_is_a_usage_error(data, message, tmp_path, capsys)
     assert message in captured.err
 
 
+def test_word_beyond_presentation_dimension_is_a_usage_error(capsys):
+    assert main(["wp", "circle", "--word", "x(0,0,0)", "--fuel", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "index arity 3 exceeds presentation dimension 2" in captured.err
+
+
 def test_word_exponent_above_cap_is_a_usage_error(capsys):
     from realword.words import MAX_EXPONENT
     assert main(["wp", "torus", "--word", f"x(1/3)^{MAX_EXPONENT + 1}",
@@ -272,3 +286,12 @@ def test_word_exponent_above_cap_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds" in captured.err
+
+
+def test_register_above_cap_is_a_usage_error(tmp_path, capsys):
+    prog = tmp_path / "big.bss"
+    prog.write_text(f"1: set r{MAX_REGISTER + 1} 1\n2: halt\n")
+    assert main(["run", str(prog), "--input", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"1: set r{MAX_REGISTER + 1} 1" in captured.err

@@ -1,8 +1,11 @@
 import gc
 from fractions import Fraction as F
 
-from realword.predicates import (FALSE, TRUE, Poly, Pred, conj, const, disj,
-                                 eq, ge, gt, is_int, is_nat, le, lt, ne,
+import pytest
+
+from realword.predicates import (FALSE, MAX_POW_EXPONENT, TRUE, Poly, Pred,
+                                 conj, const, disj, eq, ge, gt, is_int,
+                                 is_nat, le, lt, ne,
                                  negate, shift_poly, shift_pred,
                                  solve_unknown, var)
 
@@ -85,6 +88,20 @@ def test_json_roundtrip():
     q = conj(ne(p, 0), disj(is_int(var(0)), negate(ge(var(1), F(2, 3)))))
     assert Pred.from_json(q.to_json()) == q
     assert Pred.from_json(TRUE.to_json()) == TRUE
+
+
+def test_pow_exponent_cap():
+    def power(arg, k):
+        return {"op": "pow", "args": [arg], "k": k}
+    v0 = var(0).to_json()
+    assert Poly.from_json(power(v0, MAX_POW_EXPONENT)) == var(0) ** MAX_POW_EXPONENT
+    # nested exponents multiply, so the cap bounds their product
+    assert Poly.from_json(power(power(v0, 4), MAX_POW_EXPONENT // 4)).k == MAX_POW_EXPONENT // 4
+    for node in (power(v0, MAX_POW_EXPONENT + 1),
+                 power(power(v0, 2), MAX_POW_EXPONENT // 2 + 1),
+                 power({"op": "add", "args": [power(v0, 11), v0]}, 10)):
+        with pytest.raises(ValueError, match="exceeds"):
+            Poly.from_json(node)
 
 
 def test_eval_total():

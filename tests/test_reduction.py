@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from realword.machine import mult_guard_transform, parse_program, run
+from realword.machine import mult_guard_transform, parse_program
 from realword.programs import ALL_PROGRAMS, halt_program, sign_program
 from realword.reduction import (ZeroScale, assemble_u, build_W,
                                 check_reduction, extension_presentation,
@@ -13,15 +13,14 @@ from realword.reduction import (ZeroScale, assemble_u, build_W,
                                 v_membership, w_membership, word_constants)
 from realword.britton import hnn_is_identity
 from realword.presentations import check_generator, check_relator
-from realword.slp import _forced_dfs, extract_path, replay
+from realword.slp import _forced_dfs, replay, run_path
 from realword.words import (EMPTY, GenSym, Word, concat, encode_w,
                             encode_w_tagged, format_word, invert,
                             nielsen_decompose, parse_word)
 
 
 def sign_path():
-    res = run(sign_program(), (F(2),), 100)
-    return extract_path(res.trace, 1)
+    return run_path(sign_program(), (F(2),), 100)
 
 
 def test_build_w_rows():
@@ -100,7 +99,7 @@ def test_v_membership():
     full = replay(p, (F(2),))
     assert v_membership(p, full)
     assert not v_membership(p, (F(2), F(-1), F(0)))
-    trivial = extract_path(run(halt_program(), (F(1),), 5).trace, 1)
+    trivial = run_path(halt_program(), (F(1),), 5)
     assert v_membership(trivial, (F(9),))
     with pytest.raises(ValueError):
         v_membership(p, (F(1),))
@@ -238,10 +237,9 @@ def test_v_membership_of_extensions():
         prog = mult_guard_transform(mk())
         for _ in range(10):
             x = F(rng.randint(-6, 6), rng.randint(1, 3))
-            res = run(prog, (x,), 4000)
-            if not res.halted:
+            p = run_path(prog, (x,), 4000)
+            if p is None:
                 continue
-            p = extract_path(res.trace, 1)
             full = replay(p, (x,))
             assert full is not None
             assert v_membership(p, full), (name, x)

@@ -5,45 +5,32 @@ from pathlib import Path
 
 import pytest
 
-from realword.machine import mult_guard_transform, parse_program, run
-from realword.programs import halt_program, sign_program, square_program
-from realword.slp import (MalformedTrace, Path as SlpPath, PathEnumerator,
-                          extract_path, replay)
+from realword.machine import (HALTED, initial_configuration, mult_guard_transform,
+                              parse_program, run, step)
+from realword.programs import (ALL_PROGRAMS, halt_program, sign_program,
+                               square_program)
+from realword.slp import (Path as SlpPath, PathEnumerator, _Builder, _forced_dfs,
+                          replay, run_path)
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def sign_trace(x):
-    res = run(sign_program(), (F(x),), 100)
-    assert res.halted
-    return res.trace
+def sign_path(x):
+    p = run_path(sign_program(), (F(x),), 100)
+    assert p is not None
+    return p
 
 
 def test_extract_sign_path():
-    p = extract_path(sign_trace(2), 1)
+    p = sign_path(2)
     assert p.d == 1 and p.D == 3
     assert p.ops == (("assign", 2, F(-1)), ("add", 3, 1, 2), ("geq", 3))
     assert p.guard_string == "1"
 
 
 def test_extract_immediate_halt():
-    res = run(halt_program(), (F(1), F(2)), 10)
-    p = extract_path(res.trace, 2)
+    p = run_path(halt_program(), (F(1), F(2)), 10)
     assert p.ops == () and p.D == 2 and p.d == 2
-
-
-def test_extract_wrong_dimension():
-    with pytest.raises(MalformedTrace):
-        extract_path(sign_trace(2), 3)
-
-
-def test_extract_rejects_tampered_trace():
-    tr = sign_trace(2)
-    steps = list(tr.steps)
-    steps[0], steps[1] = steps[1], steps[0]
-    bad = type(tr)(tr.program, tr.d, tuple(steps))
-    with pytest.raises(MalformedTrace):
-        extract_path(bad, 1)
 
 
 def test_extract_branch_to_next_label():
@@ -51,13 +38,13 @@ def test_extract_branch_to_next_label():
     # tells the two outcomes apart: r0 = -1 < 0 is the '0' outcome
     prog = parse_program("1: sub r0 r1 r2\n2: brgeq 3\n3: halt\n")
     x = (F(-1), F(0))
-    p = extract_path(run(prog, x, 10).trace, 2)
+    p = run_path(prog, x, 10)
     assert p.guard_string == "0"
     assert replay(p, x) is not None
 
 
 def test_membership_and_extend():
-    p = extract_path(sign_trace(2), 1)
+    p = sign_path(2)
     assert replay(p, (F(0),)) is None
     assert replay(p, (F(2),)) == (F(2), F(-1), F(1))
     assert replay(p, (F(1, 2),)) is None
@@ -84,7 +71,7 @@ def test_path_validation():
 
 
 def test_extract_replay_consistency():
-    # replaying the extracted path reproduces the run's intermediate values
+    # replaying the run's path reproduces the run's register values
     prog = mult_guard_transform(square_program())
     rng = random.Random(15)
     for _ in range(50):
@@ -92,24 +79,19 @@ def test_extract_replay_consistency():
         res = run(prog, (x,), 3000)
         if not res.halted:
             continue
-        p = extract_path(res.trace, 1)
+        p = run_path(prog, (x,), 3000)
         vals = replay(p, (x,))
         assert vals is not None
         assert len(vals) == p.D
-        # every value the machine computed appears at its single-assignment slot
-        seen = {}
-        for cfg, ins, _ in res.trace.steps:
-            if ins.kind in ("compute", "assign"):
-                seen[ins.target] = True
-        assert p.D >= 1 + len([k for k in seen])
+        # every register the run ends with was assigned on the path
+        assert {v for _, v in res.final.regs} <= set(vals)
 
 
 def test_same_branch_class_replay():
     prog = sign_program()
-    base = extract_path(sign_trace(2), 1)
+    base = sign_path(2)
     for x in (F(1), F(3), F(100), F(7, 2)):
-        res = run(prog, (x,), 100)
-        other = extract_path(res.trace, 1)
+        other = run_path(prog, (x,), 100)
         assert other == base  # same branch outcomes give the same path
         ext = replay(base, (x,))
         assert ext is not None and ext[0] == x
@@ -155,7 +137,7 @@ def test_desk_scale_path_completeness():
     prog = sign_program()
     en = PathEnumerator(prog)
     for x in (F(1), F(2), F(100), F(3, 2)):
-        res = run(prog, (x,), 100, record_trace=False)
+        res = run(prog, (x,), 100)
         assert res.halted
         budget = 1 + res.steps
         found = False
@@ -168,16 +150,49 @@ def test_desk_scale_path_completeness():
 
 
 def test_path_soundness_all_programs():
-    # every halting trace yields a path containing its own input
-    from realword.programs import ALL_PROGRAMS
-    from realword.machine import mult_guard_transform
+    # every halting run yields a path containing its own input
     rng = random.Random(16)
     for name, mk in ALL_PROGRAMS.items():
         prog = mult_guard_transform(mk())
         for _ in range(25):
             x = F(rng.randint(-8, 8), rng.randint(1, 4))
-            res = run(prog, (x,), 4000)
-            if not res.halted:
+            p = run_path(prog, (x,), 4000)
+            if p is None:
                 continue
-            p = extract_path(res.trace, 1)
             assert replay(p, (x,)) is not None, (name, x)
+
+
+def _path_by_steps(prog, x, fuel):
+    """Reference for run_path: iterate step, emitting each step's instruction."""
+    cfg = initial_configuration(x)
+    b = _Builder(len(x))
+    for _ in range(fuel + 1):
+        nxt = step(prog, cfg)
+        if nxt is HALTED:
+            return b.path(len(x))
+        ins = prog.instructions[cfg.n - 1]
+        b.emit(ins, cfg.i, cfg.j, cfg.reg(0) >= 0 if ins.kind == "branch" else None)
+        cfg = nxt
+    raise AssertionError("reference called on a run that does not halt")
+
+
+def test_run_path_none_unless_halting():
+    # a path exactly when the run halts within the fuel: the step-by-step
+    # path, and one of the forced paths of its (d, steps) level
+    progs = []
+    for mk in ALL_PROGRAMS.values():
+        progs += [mk(), mult_guard_transform(mk())]
+    progs.append(parse_program("1: set r1 7\n2: copy i+ j0\n3: copy\n4: halt\n"))
+    for prog in progs:
+        for x in (F(-2), F(-1, 2), F(0), F(1), F(5, 2)):
+            exact = run(prog, (x,), 200).steps
+            for fuel in (exact - 1, exact, exact + 5):
+                res = run(prog, (x,), fuel)
+                p = run_path(prog, (x,), fuel)
+                assert (p is None) == (not res.halted), (prog, x, fuel)
+                if p is not None:
+                    assert p == _path_by_steps(prog, (x,), fuel)
+                    assert p in _forced_dfs(prog, 1, res.steps)
+    div = parse_program("1: div r2 r1 r3\n2: halt\n")
+    assert run(div, (F(5),), 10).status == "division_by_zero"
+    assert run_path(div, (F(5),), 10) is None
