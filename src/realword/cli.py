@@ -18,7 +18,7 @@ import sys
 
 from .britton import bs12_structure, britton_reduce, halfline_structure, hnn_is_identity
 from .machine import parse_program, run
-from .presentations import (Certificate, load_presentation, verify_certificate,
+from .presentations import (Certificate, presentation_from_json, verify_certificate,
                             wp_semidecide)
 from .programs import ALL_PROGRAMS
 from .rationals import format_vec, parse_vec
@@ -36,13 +36,22 @@ def _load_program(spec: str):
         return parse_program(fh.read())
 
 
+def _load_json(path: str, convert):
+    """`convert` applied to the JSON document in file `path`.
+
+    Nesting too deep for the parser or for `convert` is a usage error.
+    """
+    with open(path) as fh:
+        try:
+            return convert(json.load(fh))
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _load_presentation_arg(spec: str):
     if spec in BUILTIN_PRESENTATIONS:
         return BUILTIN_PRESENTATIONS[spec]()
-    try:
-        return load_presentation(spec)
-    except RecursionError:
-        raise ValueError(f"{spec}: JSON nested too deeply") from None
+    return _load_json(spec, presentation_from_json)
 
 
 def _fuel(text: str) -> int:
@@ -108,8 +117,7 @@ def cmd_wp(args) -> int:
 def cmd_verify(args) -> int:
     p = _load_presentation_arg(args.presentation)
     w = parse_word(args.word)
-    with open(args.cert) as fh:
-        cert = Certificate.from_json(json.load(fh))
+    cert = _load_json(args.cert, Certificate.from_json)
     ok = verify_certificate(p, w, cert)
     print("VERIFIED" if ok else "REJECTED")
     return 0 if ok else 1

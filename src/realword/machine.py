@@ -188,13 +188,25 @@ class RunResult:
 
 
 def run(program: BssProgram, input_vec: Sequence[Fraction], fuel: int) -> RunResult:
-    """Execute at most `fuel` steps from the initial configuration."""
+    """Execute at most `fuel` steps from the initial configuration.
+
+    A run that repeats a configuration skips its remaining whole periods, so
+    a loop that never halts costs a few of its periods, not the whole fuel.
+    The skip is exact.  The machine is deterministic, so from a repeated
+    configuration it cycles through the same configurations forever, and
+    none of them halts or divides by zero: the run would have stopped there
+    the first time round.  Whole periods later it is back where it was, so
+    the result (status `out_of_fuel`, `steps == fuel`, `final`) is the one
+    the step-by-step run reaches.
+    """
     # the inputs and every written register, so a halting run outputs 1..max(regs)
     regs = {k + 1: Fraction(v) for k, v in enumerate(input_vec)}
     n = i = j = 1
-    status, output, count = "out_of_fuel", None, fuel  # fuel < 0 runs no step
-    for count in range(fuel + 1):
-        ins = program.instructions[n - 1]
+    status, output, count = "out_of_fuel", None, min(fuel, 0)  # fuel < 0 runs no step
+    jumps, mark, seen = 0, 1, None  # taken backward branches; snapshot schedule
+    instructions = program.instructions
+    while fuel >= 0:
+        ins = instructions[n - 1]
         if ins.kind == "halt":
             status = "halted"
             output = tuple(regs.get(r, _ZERO) for r in range(1, max(regs, default=0) + 1))
@@ -202,10 +214,29 @@ def run(program: BssProgram, input_vec: Sequence[Fraction], fuel: int) -> RunRes
         if count == fuel:
             break
         try:
-            (n, i, j), _ = execute(ins, regs, n, i, j)
+            (m, i, j), _ = execute(ins, regs, n, i, j)
         except DivisionByZero:
             status = "division_by_zero"
             break
+        count += 1
+        if m <= n:
+            # A taken branch back: every cycle of labels passes through one,
+            # and the configurations right after them form a deterministic
+            # sequence of their own, so Brent's cycle detection applies to
+            # it.  `seen` is the configuration after the 1st, 2nd, 4th, 8th,
+            # ... such branch.  A later one equal to it is a real repeat, and
+            # the steps in between a whole number of periods: the raw dicts
+            # are compared, where an explicit 0 differs from a missing
+            # register, which at worst notices a repeat one period late.
+            jumps += 1
+            if seen is not None and seen[1] == m and seen[2] == i and seen[3] == j \
+                    and seen[4] == regs:
+                period = count - seen[0]
+                count += (fuel - count) // period * period
+            if jumps == mark:
+                seen = (count, m, i, j, dict(regs))
+                mark *= 2
+        n = m
     return RunResult(status, count, output, Configuration(n, i, j, _pack(regs)))
 
 
@@ -229,7 +260,14 @@ def parse_program(text: str) -> BssProgram:
         if not line:
             continue
         head, _, rest = line.partition(":")
-        label = int(head.strip())
+
+        def number(parse, tok: str, what: str):
+            try:
+                return parse(tok)
+            except ValueError:
+                raise ValueError(f"bad {what} {tok!r} in {raw!r}") from None
+
+        label = number(int, head.strip(), "label")
         toks = rest.split()
         ictl = jctl = "="
         while toks and toks[-1] in ("i+", "i0", "j+", "j0"):
@@ -259,12 +297,13 @@ def parse_program(text: str) -> BssProgram:
             out.append(Instruction(label, "halt"))
         elif name == "set":
             out.append(Instruction(label, "assign", target=reg(toks[1]),
-                                   const=parse_rat(toks[2]), ictl=ictl, jctl=jctl))
+                                   const=number(parse_rat, toks[2], "constant"),
+                                   ictl=ictl, jctl=jctl))
         elif name in ("add", "sub", "mul", "div"):
             out.append(Instruction(label, "compute", op=name, target=reg(toks[1]),
                                    a=reg(toks[2]), b=reg(toks[3]), ictl=ictl, jctl=jctl))
         elif name == "brgeq":
-            out.append(Instruction(label, "branch", jump=int(toks[1])))
+            out.append(Instruction(label, "branch", jump=number(int, toks[1], "branch target")))
         else:
             out.append(Instruction(label, "copy", ictl=ictl, jctl=jctl))
     return BssProgram(tuple(out))

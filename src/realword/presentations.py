@@ -717,11 +717,6 @@ def presentation_from_json(data) -> Presentation:
                         _nat_field(data, "dim", "presentation"), tuple(gens), tuple(rels))
 
 
-def load_presentation(path: str) -> Presentation:
-    with open(path) as fh:
-        return presentation_from_json(json.load(fh))
-
-
 def save_presentation(p: Presentation, path: str):
     with open(path, "w") as fh:
         json.dump(presentation_to_json(p), fh, indent=2)

@@ -190,6 +190,20 @@ def format_word(w: Word) -> str:
 MAX_EXPONENT = 10_000
 
 
+def _letter_texts(s: str) -> list[str]:
+    """Split on the dots outside parentheses: `x(1.5) . y` gives two texts."""
+    texts: list[list[str]] = []
+    depth = 0  # "(" minus ")" in the last text so far
+    for part in s.split("."):
+        if depth > 0:
+            texts[-1].append(part)
+            depth += part.count("(") - part.count(")")
+        else:
+            texts.append([part])
+            depth = part.count("(") - part.count(")")
+    return [".".join(parts) for parts in texts]
+
+
 def parse_word(text: str) -> Word:
     """Parse dot-separated letters; `^k` repeats (only ^-1 is ever printed).
 
@@ -199,7 +213,7 @@ def parse_word(text: str) -> Word:
     if s in ("", "1"):
         return EMPTY
     letters = []
-    for chunk in s.split("."):
+    for chunk in _letter_texts(s):
         tok = chunk.strip()
         exp = 1
         if "^" in tok:
@@ -219,7 +233,10 @@ def parse_word(text: str) -> Word:
             if not rest.endswith(")"):
                 raise ValueError(f"unclosed index in {chunk!r}")
             body = rest[:-1].strip()
-            idx = tuple(parse_rat(p) for p in body.split(",")) if body else ()
+            try:
+                idx = tuple(parse_rat(p) for p in body.split(",")) if body else ()
+            except ValueError as exc:
+                raise ValueError(f"bad index in {chunk.strip()!r}: {exc}") from None
         else:
             fam, idx = tok, ()
         sign = 1 if exp > 0 else -1

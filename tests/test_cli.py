@@ -262,10 +262,11 @@ def test_malformed_presentation_is_a_usage_error(text, message, tmp_path, capsys
     ([{"conjugator": "1", "relator": "1", "schema": "0", "params": []}],
      "certificate entry 0 needs"),
     ({"entries": []}, "a certificate is a JSON list"),
-], ids=["int-entry", "schema-string", "object"])
+    ("[" * 100_000, "JSON nested too deeply"),
+], ids=["int-entry", "schema-string", "object", "deep"])
 def test_malformed_certificate_is_a_usage_error(data, message, tmp_path, capsys):
     cert = tmp_path / "c.json"
-    cert.write_text(json.dumps(data))
+    cert.write_text(data if isinstance(data, str) else json.dumps(data))
     assert main(["verify", "torus", "--word", "x(1/3)", "--cert", str(cert)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

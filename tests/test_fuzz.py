@@ -11,18 +11,20 @@ import contextlib
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from realword.cli import main
-from realword.machine import MAX_REGISTER, BssProgram, parse_program
+from realword.machine import MAX_REGISTER, BssProgram, parse_program, run
 from realword.presentations import (Presentation, presentation_from_json,
                                     presentation_to_json)
 from realword.programs import ALL_PROGRAMS
 from realword.sample_groups import BUILTIN_PRESENTATIONS
 from realword.words import MAX_EXPONENT, Word, parse_word
+from test_machine import _run_by_steps
 
 # Hypothesis caches the constants it reads from local modules under its home
 # directory, ./.hypothesis by default, while pytest collects: keep that cache
@@ -72,6 +74,33 @@ program_text = st.lists(_sometimes_junk(instruction_text, ["", "jmp 1", "set r1"
     + f"{len(lines) + 1}: halt\n")
 
 input_text = st.lists(number, max_size=4).map(",".join)
+
+# Registers r0..r3 take any value; `mul` and `div` scale by r255, which only
+# `set` writes (copy-register i needs more than 200 steps to reach it).  So
+# values grow at most linearly in size with the fuel, where a squaring loop
+# would double it every pass.  Copy-register controls are rare and branches
+# common, so that many runs end in a loop that repeats.
+SCALE = "r255"
+small_register = st.sampled_from(["r0", "r1", "r2", "r3"])
+rare_control = st.one_of(st.just(""), st.just(""), st.just(""), control)
+loop_instruction = st.one_of(
+    st.builds("set {} {} {}".format, st.one_of(small_register, st.just(SCALE)),
+              st.sampled_from(NUMBERS[:6]), rare_control),
+    st.builds("{} {} {} {} {}".format, st.sampled_from(["add", "sub"]),
+              small_register, small_register, small_register, rare_control),
+    st.builds("{} {} {} {} {}".format, st.sampled_from(["mul", "div"]),
+              small_register, small_register, st.just(SCALE), rare_control),
+    st.builds("copy {}".format, rare_control))
+
+
+@st.composite
+def loop_program(draw):
+    """A program of at most 8 instructions whose branches stay in range."""
+    size = draw(st.integers(1, 8))
+    branch = st.integers(1, size).map("brgeq {}".format)
+    lines = [draw(st.one_of(loop_instruction, branch, branch))
+             for _ in range(size - 1)] + ["halt"]
+    return parse_program("".join(f"{k + 1}: {line}\n" for k, line in enumerate(lines)))
 
 json_scalar = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 5), st.sampled_from([10**12, -(10**12)]),
@@ -156,6 +185,17 @@ def test_presentation_from_json_fuzz(text):
         assert isinstance(presentation_from_json(json.loads(text)), Presentation)
     except USAGE_ERRORS:
         pass
+
+
+@FUZZ
+@given(loop_program(), st.lists(st.sampled_from(NUMBERS[:6]).map(Fraction), max_size=3),
+       st.integers(0, 200))
+def test_run_matches_stepping_fuzz(program, inputs, fuel):
+    # small fuels come up most, so the complement to 200 runs as well
+    for f in (fuel, 200 - fuel):
+        res = run(program, inputs, f)
+        assert (res.status, res.steps, res.output, res.final) == \
+            _run_by_steps(program, inputs, f)
 
 
 @FUZZ

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from realword import machine
 from realword.machine import (HALTED, MAX_REGISTER, Configuration, format_program,
-                              initial_configuration, max_register,
+                              execute, initial_configuration, max_register,
                               mult_guard_transform, parse_program, run,
                               step)
 from realword.programs import (ALL_PROGRAMS, double_program, poly3_program,
@@ -161,6 +162,10 @@ def test_step_division_by_zero_raises():
     "1: set r1 2 junk\n2: halt\n",
     "1: halt 5 6\n",
     "1: brgeq 2 i+\n2: halt\n",
+    # a constant, label or branch target that is not a number
+    "1: set r1 1.5\n2: halt\n",
+    "x: halt\n",
+    "1: brgeq x\n2: halt\n",
 ])
 def test_parse_truncated_line(text):
     line = text.splitlines()[0]
@@ -214,3 +219,41 @@ def test_run_equals_iterated_step():
                 res = run(prog, (x,), fuel)
                 got = (res.status, res.steps, res.output, res.final)
                 assert got == want, (format_program(prog), x, fuel)
+
+
+def test_run_skips_repeated_configurations(monkeypatch):
+    loops = [  # (program, input, prefix + period): runs that never halt
+        # period 1
+        (parse_program("1: set r0 0\n2: brgeq 2\n3: halt\n"), (), 2),
+        # period 2 after a prefix of 4
+        (sign_program(), (F(0),), 6),
+        # period 4 that resets copy-register i
+        (parse_program("1: set r0 0 i0\n2: copy i+\n3: copy i+\n4: brgeq 1\n5: halt\n"),
+         (F(1),), 5),
+        # the guard transform's spin on a zero divisor
+        (mult_guard_transform(recip_program()), (F(0),), 8),
+        # never repeat: a counter, and copy-registers that keep growing
+        # while the registers stay 0 (so the packed reference stays small)
+        (parse_program("1: set r2 1\n2: add r1 r1 r2\n3: set r0 0\n4: brgeq 2\n5: halt\n"),
+         (F(0),), 4),
+        (parse_program("1: copy i+\n2: brgeq 1\n3: halt\n"), (), 2),
+        (parse_program("1: copy i0 j+\n2: brgeq 1\n3: halt\n"), (), 2),
+    ]
+    for prog, x, length in loops:
+        for fuel in [*range(3 * length + 3), 10_000]:
+            res = run(prog, x, fuel)
+            got = (res.status, res.steps, res.output, res.final)
+            assert got == _run_by_steps(prog, x, fuel), (format_program(prog), x, fuel)
+
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return execute(*args)
+
+    monkeypatch.setattr(machine, "execute", counted)
+    for prog, x, _ in loops[:2]:
+        calls[0] = 0
+        res = run(prog, x, 10**6)
+        assert (res.status, res.steps) == ("out_of_fuel", 10**6)
+        assert calls[0] < 100

@@ -94,6 +94,15 @@ def test_parse_word_exponent_cap():
             parse_word(f"y . x(1)^{k}")
 
 
+def test_parse_word_decimal_index():
+    # dots split letters only outside parentheses, so a decimal reaches the
+    # index parser, which names the letter it is in
+    for text in ("x(1.5)", "y . x(1/3, 1.5)^-1 . y"):
+        with pytest.raises(ValueError, match=r"bad index in 'x\((1/3, )?1\.5\)"):
+            parse_word(text)
+    assert parse_word("x(1).y.x(2)") == parse_word("x(1) . y . x(2)")
+
+
 def test_encode_w():
     assert encode_w(()) == word((GenSym("y"), 1))
     got = encode_w((F(5),))
