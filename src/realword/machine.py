@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .rationals import DivisionByZero, RatVec, format_rat, parse_rat, rat_op
+from .rationals import DivisionByZero, RatVec, format_rat, parse_rat, quote, rat_op
 
 _CTL = ("=", "+", "0")
 _ZERO = Fraction(0)
@@ -265,7 +265,7 @@ def parse_program(text: str) -> BssProgram:
             try:
                 return parse(tok)
             except ValueError:
-                raise ValueError(f"bad {what} {tok!r} in {raw!r}") from None
+                raise ValueError(f"bad {what} {quote(tok)} in {quote(raw)}") from None
 
         label = number(int, head.strip(), "label")
         toks = rest.split()
@@ -277,20 +277,20 @@ def parse_program(text: str) -> BssProgram:
             else:
                 jctl = "+" if t[1] == "+" else "0"
         if not toks:
-            raise ValueError(f"missing instruction in {raw!r}")
+            raise ValueError(f"missing instruction in {quote(raw)}")
         name = toks[0]
         if name not in _OPERANDS:
-            raise ValueError(f"unknown instruction {name!r}")
+            raise ValueError(f"unknown instruction {quote(name)}")
         if len(toks) - 1 != _OPERANDS[name]:
-            raise ValueError(f"{name} takes {_OPERANDS[name]} operands in {raw!r}")
+            raise ValueError(f"{name} takes {_OPERANDS[name]} operands in {quote(raw)}")
         if name in ("halt", "brgeq") and (ictl, jctl) != ("=", "="):
-            raise ValueError(f"{name} takes no i+ i0 j+ j0 suffix in {raw!r}")
+            raise ValueError(f"{name} takes no i+ i0 j+ j0 suffix in {quote(raw)}")
 
         def reg(tok: str) -> int:
             m = _REGISTER_TOKEN.fullmatch(tok)
             if m is None or int(m[1]) > MAX_REGISTER:
                 raise ValueError(f"expected a register r0..r{MAX_REGISTER}, "
-                                 f"got {tok!r} in {raw!r}")
+                                 f"got {quote(tok)} in {quote(raw)}")
             return int(m[1])
 
         if name == "halt":

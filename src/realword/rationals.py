@@ -47,6 +47,21 @@ def rat_op(kind: str, a: Fraction, b: Fraction) -> Fraction:
     raise ValueError(f"unknown operation {kind!r}")
 
 
+# longest text an error message quotes in full
+QUOTE_LIMIT = 100
+
+
+def quote(text: str) -> str:
+    """`repr(text)` for an error message, cut to QUOTE_LIMIT characters.
+
+    A longer text is cut and marked with its full length, so a hostile
+    input cannot make the message as long as itself.
+    """
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
 def format_rat(x: Fraction) -> str:
     """Serialize as "p/q", omitting "/q" when the denominator is 1."""
     return str(x)
@@ -60,7 +75,7 @@ def parse_rat(text: str) -> Fraction:
         p = int(num.strip())
         q = int(den.strip())
         if q <= 0:
-            raise ValueError(f"denominator must be positive in {text!r}")
+            raise ValueError(f"denominator must be positive in {quote(text)}")
         return Fraction(p, q)
     return Fraction(int(s))
 

@@ -297,7 +297,8 @@ class UHandle:
     member at fuel F when every pattern factor's vector is accepted by some
     forced path found within F units, where a unit is one step level, one
     forced step or one candidate path.  Every factor is charged for every
-    level it walks, so the verdict does not depend on earlier calls.
+    level up to its accepting path as a fresh walk of that level costs, so
+    the verdict does not depend on earlier calls.
     """
 
     guarded: BssProgram
@@ -307,7 +308,8 @@ class UHandle:
         decomp = nielsen_decompose(w)
         if decomp is None:
             return False
-        counter = [fuel]
+        enum = self.enum
+        left = fuel
         for _, vec in decomp:
             # Replay accepts a forced path exactly when the guarded run on vec
             # takes that path's branch outcomes (`execute` and `_Builder.emit`
@@ -315,20 +317,42 @@ class UHandle:
             # can accept.  Every level costs at least one unit, so if the run
             # does not halt within the fuel left, no level the walk below can
             # reach has an accepting path.
-            if not run(self.guarded, vec, counter[0]).halted:
+            res = run(self.guarded, vec, left)
+            if not res.halted:
                 return False
-            d = len(vec)
-            found = False
-            steps = 0
-            while counter[0] > 0 and not found:
-                counter[0] -= 1  # one unit per step level
-                for path in self.enum.exact(d, steps, counter):
-                    counter[0] -= 1  # one unit per candidate replay
-                    if slp.replay(path, vec) is not None:
-                        found = True
-                        break
-                steps += 1
-            if not found:
+            # Each level costs what a fresh forced walk of it costs: one unit,
+            # one per forced step, one per candidate replayed.  A forced walk
+            # ignores register values, so the enumerator's counts give a
+            # level's forced steps and paths for any d.  Below the halting
+            # step, either the fuel left pays for the whole walk, whose
+            # `halting(steps)` candidates all fail, or the walk would stop
+            # short with the fuel spent, and the test fails whatever its
+            # cut-short list holds.  At the halting step a walk paid for in
+            # full lists the whole level in the frozen order, which the
+            # memoised level is; a walk cut short is walked afresh, since its
+            # list, in walk order, may still hold the accepting path.
+            for steps in range(res.steps):
+                left -= 1  # one unit per step level
+                walked = enum.walked(steps)
+                if left < walked:  # also a level begun with no fuel left
+                    return False
+                left -= walked + enum.halting(steps)
+            if left <= 0:
+                return False
+            left -= 1
+            walked = enum.walked(res.steps)
+            if left >= walked:
+                left -= walked
+                candidates = enum.level(len(vec), res.steps)
+            else:
+                counter = [left]
+                candidates = enum.exact(len(vec), res.steps, counter)
+                left = counter[0]
+            for path in candidates:
+                left -= 1  # one unit per candidate replay
+                if slp.replay(path, vec) is not None:
+                    break
+            else:
                 return False
         return True
 

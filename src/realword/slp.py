@@ -252,20 +252,80 @@ class PathEnumerator:
     Block B lists, for d = 0..B, the forced runs of input dimension d that
     halt in exactly B - d steps (in the frozen per-(d, F) order).  Index n
     unpacks as Cantor (B, k).
+
+    Fueled membership reads two more records of the enumerator: whole
+    levels, walked once each, and a forward count of forced prefixes by
+    forced state (label, i, j).  A forced walk ignores register values, so
+    the count does not depend on d: at depth t, live(t) prefixes stand at an
+    instruction other than halt and `halting(t)` at halt.  `walked(s)`, the
+    sum of live(t) over t < s, is exactly the number of forced steps the
+    walk of any level (d, s) takes, and `halting(s)` the number of paths it
+    finds.  The count grows one depth at a time, and only as far as a
+    caller asks.
     """
 
     def __init__(self, program: BssProgram):
         self.program = program
         self._blocks: dict[int, list[Path]] = {}
+        self._levels: dict[tuple[int, int], list[Path]] = {}
+        # the count so far: halting(t) for every counted depth t, walked(t)
+        # up to one depth further, and the live states of the deepest
+        # counted depth with their numbers of prefixes
+        self._halting: list[int] = []
+        self._walked = [0]
+        self._live: dict[tuple[int, int, int], int] = {}
+        self._tally({(1, 1, 1): 1})
 
     def exact(self, d: int, steps: int, counter: Optional[list[int]] = None) -> list[Path]:
         """The (d, steps) level, walked afresh on every call.
 
-        Level (d, steps) lies in block d + steps only, so the block memo is
-        the one cache; a fueled caller is charged the same forced steps
-        however warm the enumerator is.
+        With a counter this is the cut-short walk a fueled caller pays for
+        step by step; `level` and `block` memoise whole levels.
         """
         return _forced_dfs(self.program, d, steps, counter)
+
+    def level(self, d: int, steps: int) -> list[Path]:
+        """The whole (d, steps) level, walked on the first call only."""
+        key = (d, steps)
+        got = self._levels.get(key)
+        if got is None:
+            got = self._levels[key] = self.exact(d, steps)
+        return got
+
+    def walked(self, steps: int) -> int:
+        """Forced steps of a walk of level `steps`, whatever its d."""
+        while len(self._walked) <= steps:
+            self._extend()
+        return self._walked[steps]
+
+    def halting(self, steps: int) -> int:
+        """Paths of level `steps`, whatever its d."""
+        while len(self._halting) <= steps:
+            self._extend()
+        return self._halting[steps]
+
+    def _extend(self):
+        """Count one depth more: one forced step from every live state."""
+        instructions = self.program.instructions
+        states: dict[tuple[int, int, int], int] = {}
+        for (n, i, j), count in self._live.items():
+            ins = instructions[n - 1]
+            for taken in (True, False) if ins.kind == "branch" else (None,):
+                nxt = advance(ins, n, i, j, taken)
+                states[nxt] = states.get(nxt, 0) + count
+        self._tally(states)
+
+    def _tally(self, states: dict[tuple[int, int, int], int]):
+        instructions = self.program.instructions
+        halting = 0
+        self._live = {}
+        for state, count in states.items():
+            if instructions[state[0] - 1].kind == "halt":
+                halting += count
+            else:
+                self._live[state] = count
+        self._halting.append(halting)
+        self._walked.append(self._walked[-1] + sum(self._live.values()))
 
     def block(self, b: int) -> list[Path]:
         got = self._blocks.get(b)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
-from .rationals import RatVec, format_rat, parse_rat
+from .rationals import RatVec, format_rat, parse_rat, quote
 
 # the kernel is plain Python: free reduction is under a tenth of any
 # end-to-end workload, so a compiled build would not pay for itself
@@ -45,7 +45,7 @@ class GenSym:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown generator family {self.family!r}")
+            raise ValueError(f"unknown generator family {quote(self.family)}")
         idx = self.index
         if not isinstance(idx, tuple) or any(type(x) is not Fraction for x in idx):
             object.__setattr__(self, "index", tuple(Fraction(x) for x in idx))
@@ -222,21 +222,21 @@ def parse_word(text: str) -> Word:
             try:
                 exp = int(e.strip())
             except ValueError:
-                raise ValueError(f"bad exponent {e!r} in {chunk!r}") from None
+                raise ValueError(f"bad exponent {quote(e)} in {quote(chunk)}") from None
             if exp == 0:
-                raise ValueError(f"zero exponent in {chunk!r}")
+                raise ValueError(f"zero exponent in {quote(chunk)}")
             if abs(exp) > MAX_EXPONENT:
-                raise ValueError(f"exponent {exp} in {chunk!r} exceeds "
+                raise ValueError(f"exponent {exp} in {quote(chunk)} exceeds "
                                  f"{MAX_EXPONENT} in absolute value")
         if "(" in tok:
             fam, _, rest = tok.partition("(")
             if not rest.endswith(")"):
-                raise ValueError(f"unclosed index in {chunk!r}")
+                raise ValueError(f"unclosed index in {quote(chunk)}")
             body = rest[:-1].strip()
             try:
                 idx = tuple(parse_rat(p) for p in body.split(",")) if body else ()
             except ValueError as exc:
-                raise ValueError(f"bad index in {chunk.strip()!r}: {exc}") from None
+                raise ValueError(f"bad index in {quote(chunk.strip())}: {exc}") from None
         else:
             fam, idx = tok, ()
         sign = 1 if exp > 0 else -1

@@ -22,9 +22,11 @@ from realword.machine import MAX_REGISTER, BssProgram, parse_program, run
 from realword.presentations import (Presentation, presentation_from_json,
                                     presentation_to_json)
 from realword.programs import ALL_PROGRAMS
+from realword.reduction import assemble_u
 from realword.sample_groups import BUILTIN_PRESENTATIONS
-from realword.words import MAX_EXPONENT, Word, parse_word
+from realword.words import MAX_EXPONENT, Word, concat, encode_w, invert, parse_word
 from test_machine import _run_by_steps
+from test_reduction import walk_member_within
 
 # Hypothesis caches the constants it reads from local modules under its home
 # directory, ./.hypothesis by default, while pytest collects: keep that cache
@@ -94,11 +96,11 @@ loop_instruction = st.one_of(
 
 
 @st.composite
-def loop_program(draw):
+def loop_program(draw, instruction=loop_instruction):
     """A program of at most 8 instructions whose branches stay in range."""
     size = draw(st.integers(1, 8))
     branch = st.integers(1, size).map("brgeq {}".format)
-    lines = [draw(st.one_of(loop_instruction, branch, branch))
+    lines = [draw(st.one_of(instruction, branch, branch))
              for _ in range(size - 1)] + ["halt"]
     return parse_program("".join(f"{k + 1}: {line}\n" for k, line in enumerate(lines)))
 
@@ -196,6 +198,27 @@ def test_run_matches_stepping_fuzz(program, inputs, fuel):
         res = run(program, inputs, f)
         assert (res.status, res.steps, res.output, res.final) == \
             _run_by_steps(program, inputs, f)
+
+
+# words of one to three pattern factors over vectors of dimension 0..2
+pattern_factor = st.tuples(
+    st.lists(st.sampled_from(NUMBERS[:6]).map(Fraction), max_size=2).map(tuple),
+    st.booleans())
+pattern_word = st.lists(pattern_factor, min_size=1, max_size=3).map(
+    lambda factors: concat(*(invert(encode_w(v)) if inverse else encode_w(v)
+                             for v, inverse in factors)))
+
+
+@FUZZ
+@given(loop_program(st.one_of(loop_instruction, st.builds("copy {}".format, control))),
+       pattern_word)
+def test_member_within_matches_walk_fuzz(program, word):
+    # copy-register controls split forced states that share a label
+    warm = assemble_u(program)
+    for fuel in range(81):
+        expect = walk_member_within(program, word, fuel)
+        assert assemble_u(program).member_within(word, fuel) == expect, fuel
+        assert warm.member_within(word, fuel) == expect, fuel
 
 
 @FUZZ

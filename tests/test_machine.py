@@ -11,7 +11,7 @@ from realword.machine import (HALTED, MAX_REGISTER, Configuration, format_progra
                               step)
 from realword.programs import (ALL_PROGRAMS, double_program, poly3_program,
                                recip_program, sign_program, square_program)
-from realword.rationals import DivisionByZero
+from realword.rationals import QUOTE_LIMIT, DivisionByZero
 
 
 def test_parse_and_validate():
@@ -180,6 +180,25 @@ def test_register_index_bounds():
                  "1: add r1 r-3 r2", "1: set r 1"):
         with pytest.raises(ValueError, match=re.escape(line)):
             parse_program(line + "\n2: halt\n")
+
+
+@pytest.mark.parametrize("line", [
+    "1: set r1 " + "9" * 200_000,            # bad constant
+    "1: set r1 2 " + "x " * 100_000,         # extra operands
+    "1: " + "jump" * 50_000,                 # unknown instruction
+    "1: set r" + "1" * 200_000 + " 2",       # bad register
+])
+def test_parse_program_error_quotes_an_excerpt(line):
+    with pytest.raises(ValueError) as err:
+        parse_program(line + "\n2: halt\n")
+    assert len(str(err.value)) < 4 * QUOTE_LIMIT
+    assert "characters)" in str(err.value)
+
+
+def test_parse_program_error_quotes_short_lines_whole():
+    with pytest.raises(ValueError) as err:
+        parse_program("1: set r1 1.5\n2: halt\n")
+    assert str(err.value) == "bad constant '1.5' in '1: set r1 1.5'"
 
 
 def _run_by_steps(prog, x, fuel):

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from realword.machine import mult_guard_transform, parse_program
+from realword import slp
+from realword.machine import mult_guard_transform, parse_program, run
 from realword.programs import ALL_PROGRAMS, halt_program, sign_program
 from realword.reduction import (ZeroScale, assemble_u, build_W,
                                 check_reduction, extension_presentation,
@@ -267,7 +268,12 @@ def test_member_within_fuel_boundary(name, x, fuel):
 
 def reference_member_within(program, w, fuel):
     """`UHandle.member_within` as it was before the guarded run, on a fresh
-    handle: fueled levels cached when the counter did not run out."""
+    handle: fueled levels cached when the counter did not run out.
+
+    A cached level costs no forced steps here, and every factor of a word
+    shares the cache, so this agrees with `member_within` on single-factor
+    words only; `walk_member_within` is the reference for longer words.
+    """
     guarded = mult_guard_transform(program)
     cache = {}
 
@@ -340,3 +346,136 @@ def test_warm_batch_agrees_with_one_shot():
         warm = check_reduction(sign_program(), [(F(5),), (F(3),)], fuel)[1]
         cold = check_reduction(sign_program(), [(F(3),)], fuel)[0]
         assert warm["group"] == cold["group"], fuel
+
+
+def walk_member_within(program, w, fuel):
+    """`UHandle.member_within` before levels were charged from counts: one
+    guarded run per factor, then a fresh forced walk of every level up to
+    the factor's accepting path."""
+    guarded = mult_guard_transform(program)
+    decomp = nielsen_decompose(w)
+    if decomp is None:
+        return False
+    counter = [fuel]
+    for _, vec in decomp:
+        if not run(guarded, vec, counter[0]).halted:
+            return False
+        d = len(vec)
+        found = False
+        steps = 0
+        while counter[0] > 0 and not found:
+            counter[0] -= 1  # one unit per step level
+            for path in _forced_dfs(guarded, d, steps, counter):
+                counter[0] -= 1  # one unit per candidate replay
+                if replay(path, vec) is not None:
+                    found = True
+                    break
+            steps += 1
+        if not found:
+            return False
+    return True
+
+
+# per program, a second input it halts on and a third its guarded form
+# never halts on (`halt` halts on everything)
+OTHER_INPUTS = {"sign": (F(3), F(0)), "double": (F(2), F(1)), "recip": (F(1), F(0)),
+                "square": (F(3), F(1)), "poly3": (F(2), F(0)), "halt": (F(0), F(5))}
+
+
+def _row_words(name, x):
+    """Words of two and three pattern factors around the row's input."""
+    y, z = OTHER_INPUTS[name]
+    return [concat(encode_w((y,)), invert(encode_w((x,)))),
+            concat(invert(encode_w((x, F(1)))), encode_w((y,)), encode_w((z,)))]
+
+
+def test_member_within_matches_walk():
+    # charging levels from counts keeps the walk's verdict at every fuel, on
+    # a fresh handle and on one warmed by other inputs and fuels; words of
+    # one factor are compared in `test_member_within_matches_reference`.
+    # Besides the row's fuels, the fuels just below a word's own boundary
+    # check what a factor before the last one is charged for its path.
+    warm = {}
+    compared = 0
+    for name, x, boundary in FUEL_BOUNDARY:
+        prog = ALL_PROGRAMS[name]()
+        if name not in warm:
+            warm[name] = _warm_handle(name)
+        for w in _row_words(name, x):
+            fuels = {*range(boundary + 3), 10_000}
+            if assemble_u(prog).member_within(w, 10_000):
+                lo, own = 0, 10_000  # bisect for the word's own boundary
+                while lo + 1 < own:
+                    mid = (lo + own) // 2
+                    lo, own = (lo, mid) if assemble_u(prog).member_within(w, mid) \
+                        else (mid, own)
+                fuels.update(range(own - 20, own + 3))
+            for fuel in sorted(fuels):
+                expect = walk_member_within(prog, w, fuel)
+                assert assemble_u(prog).member_within(w, fuel) == expect, \
+                    (name, x, format_word(w), fuel)
+                assert warm[name].member_within(w, fuel) == expect, \
+                    (name, x, format_word(w), fuel)
+                compared += 1
+    assert compared == 6428
+
+
+def test_doubling_forced_tree_is_never_walked(monkeypatch):
+    # 40 branches to the next label: the forced tree doubles at every level,
+    # so level s costs 2^s units and fuel 10^6 runs out at level 19, long
+    # before the run's halting step 40
+    prog = parse_program("".join(f"{k}: brgeq {k + 1}\n" for k in range(1, 41))
+                         + "41: halt\n")
+    walks = []
+    real = slp._forced_dfs
+    monkeypatch.setattr(slp, "_forced_dfs", lambda *a: walks.append(a) or real(*a))
+    uh = assemble_u(prog)
+    assert not uh.member_within(encode_w((F(1),)), 10**6)
+    assert walks == []
+    assert len(uh.enum._halting) == 19  # levels 0..18 are paid for
+    assert uh.enum.walked(18) == 2**18 - 1
+
+
+# a countdown loop whose body runs one `copy i+` when r0 >= 0 and two when
+# not: forced runs take both arms, so their copy-register i spreads out and
+# the forced states multiply with depth, while the run on 30 halts at step 246
+SPREADING = """\
+1: set r40 -1
+2: add r1 r1 r40
+3: add r0 r1 r41
+4: brgeq 7
+5: set r0 0
+6: brgeq 12
+7: brgeq 9
+8: copy i+
+9: copy i+
+10: set r0 0
+11: brgeq 1
+12: halt
+"""
+
+
+def test_count_stops_at_the_last_level_paid_for():
+    prog = parse_program(SPREADING)
+    w = encode_w((F(30),))
+    assert run(prog, (F(30),), 10**6).steps == 246
+    # each level's forced steps and paths, from walks that are not cut short
+    cost = []
+    for steps in range(60):
+        counter = [10**9]
+        paths = _forced_dfs(prog, 1, steps, counter)
+        cost.append((10**9 - counter[0], len(paths)))
+    # below 246 the run does not halt within the fuel, and nothing is counted
+    for fuel in [*range(246, 700), *range(700, 40_000, 397)]:
+        paid, left = 0, fuel  # the count always holds depth 0
+        for steps, (walked, halting) in enumerate(cost):
+            if left <= 0 or left - 1 < walked:
+                break
+            left -= 1 + walked + halting
+            paid = steps
+        else:
+            raise AssertionError("fuel reaches past the precomputed levels")
+        uh = assemble_u(prog)
+        assert not uh.member_within(w, fuel)
+        assert len(uh.enum._halting) - 1 == paid, fuel
+    assert len(uh.enum._live) > 20  # the states did multiply

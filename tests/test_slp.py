@@ -132,6 +132,22 @@ def test_enumeration_distinct_and_valid():
         SlpPath(p.d, p.D, p.ops, p.guard_string)  # re-validates invariants
 
 
+def test_counts_match_forced_walk():
+    # the forward count gives every level's forced steps and paths for any
+    # d, and `level` is the uncounted walk, memoised
+    for name, mk in ALL_PROGRAMS.items():
+        prog = mult_guard_transform(mk())
+        en = PathEnumerator(prog)
+        for steps in range(22):
+            for d in (0, 1, 2):
+                counter = [10**9]
+                paths = _forced_dfs(prog, d, steps, counter)
+                assert (10**9 - counter[0], len(paths)) == \
+                    (en.walked(steps), en.halting(steps)), (name, steps, d)
+                assert en.level(d, steps) == paths
+                assert en.level(d, steps) is en.level(d, steps)
+
+
 def test_desk_scale_path_completeness():
     # every halting input is contained in some enumerated path
     prog = sign_program()

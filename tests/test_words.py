@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from realword.rationals import QUOTE_LIMIT
+
 from realword.words import (EMPTY, MAX_EXPONENT, CapExceeded, GenSym, Word,
                             concat, encode_w, encode_w_tagged, format_word,
                             free_reduce, invert, nielsen_decompose,
@@ -101,6 +103,30 @@ def test_parse_word_decimal_index():
         with pytest.raises(ValueError, match=r"bad index in 'x\((1/3, )?1\.5\)"):
             parse_word(text)
     assert parse_word("x(1).y.x(2)") == parse_word("x(1) . y . x(2)")
+
+
+@pytest.mark.parametrize("text", [
+    "x(" + "." * 200_000,                    # unclosed index
+    "y . x(1/" + "0" * 200_000 + ")",        # bad index
+    "x(1)^" + "1" * 200_000,                 # bad exponent
+    "q" * 200_000,                           # unknown family
+])
+def test_parse_word_error_quotes_an_excerpt(text):
+    with pytest.raises(ValueError) as err:
+        parse_word(text)
+    assert len(str(err.value)) < 4 * QUOTE_LIMIT
+    assert f"... ({len(text.split(' . ')[-1])} characters)" in str(err.value)
+
+
+def test_parse_word_error_quotes_short_letters_whole():
+    for text, message in [
+            ("x(1", "unclosed index in 'x(1'"),
+            ("x(1)^0", "zero exponent in 'x(1)^0'"),
+            ("x(1/-2)", "bad index in 'x(1/-2)': denominator must be positive in '1/-2'"),
+            ("x(" + "1" * (QUOTE_LIMIT - 2), f"unclosed index in 'x({'1' * (QUOTE_LIMIT - 2)}'")]:
+        with pytest.raises(ValueError) as err:
+            parse_word(text)
+        assert str(err.value) == message
 
 
 def test_encode_w():
