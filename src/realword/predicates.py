@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .rationals import format_rat, parse_rat
+from .rationals import format_rat, parse_rat, quote
 
 
 @dataclass(frozen=True)
@@ -98,22 +98,22 @@ class Poly:
         if op == "const":
             value = node["value"]
             if type(value) is not str:
-                raise ValueError(f"const value must be a string, got {value!r}")
+                raise ValueError(f"const value must be a string, got {quote(value)}")
             return const(parse_rat(value))
         if op == "var":
             i = node["i"]
             if type(i) is not int:
-                raise ValueError(f"var index must be an integer, got {i!r}")
+                raise ValueError(f"var index must be an integer, got {quote(i)}")
             return var(i)
         if type(op) is not str or op not in _POLY_ARITY:  # a list op is unhashable
-            raise ValueError(f"unknown polynomial op {op!r}")
+            raise ValueError(f"unknown polynomial op {quote(op)}")
         k = node.get("k", 0)
         if op == "pow" and not (type(k) is int and k >= 0):
-            raise ValueError(f"pow exponent must be a natural number, got {k!r}")
+            raise ValueError(f"pow exponent must be a natural number, got {quote(k)}")
         args = tuple(Poly.from_json(a) for a in _json_args(node, _POLY_ARITY[op]))
         if op == "pow" and k * (inner := _pow_product(args[0])) > MAX_POW_EXPONENT:
-            raise ValueError(f"pow exponent {k} exceeds {MAX_POW_EXPONENT // inner} (nested "
-                             f"pow exponents multiply to at most {MAX_POW_EXPONENT})")
+            raise ValueError(f"pow exponent {quote(k)} exceeds {MAX_POW_EXPONENT // inner} "
+                             f"(nested pow exponents multiply to at most {MAX_POW_EXPONENT})")
         return Poly(op, args, k=k)
 
 
@@ -139,7 +139,7 @@ def _json_op(node, what: str) -> str:
 def _json_args(node: dict, count: Optional[int] = None) -> list:
     args = node["args"]
     if type(args) is not list or count is not None and len(args) != count:
-        raise ValueError(f"{node['op']!r} node needs a list of "
+        raise ValueError(f"{quote(node['op'])} node needs a list of "
                          + (f"{count} args" if count is not None else "args"))
     return args
 
@@ -288,14 +288,14 @@ class Pred:
             return TRUE if op == "true" else FALSE
         if op == "cmp":
             if node["rel"] not in ("=", "!=", ">=", ">"):
-                raise ValueError(f"unknown comparison {node['rel']!r}")
+                raise ValueError(f"unknown comparison {quote(node['rel'])}")
             return Pred("cmp", rel=node["rel"],
                         lhs=Poly.from_json(node["lhs"]),
                         rhs=Poly.from_json(node["rhs"]))
         if op in ("isint", "isnat"):
             return Pred(op, lhs=Poly.from_json(node["arg"]))
         if op not in ("and", "or", "not"):
-            raise ValueError(f"unknown predicate op {op!r}")
+            raise ValueError(f"unknown predicate op {quote(op)}")
         args = _json_args(node, 1 if op == "not" else None)
         return Pred(op, tuple(Pred.from_json(a) for a in args))
 

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 from .predicates import (Poly, Pred, TRUE, conj, const, eq,
                          shift_pred, solve_unknown, var)
 from .rationals import (RatVec, _nat_tuple, enumerate_vectors, format_rat,
-                        parse_rat, unpair, vector_arity)
+                        parse_rat, quote, unpair, vector_arity)
 from .words import (EMPTY, GenSym, Word, _concat_ids, concat, format_word,
                     free_reduce, intern_parts, invert, parse_word)
 
@@ -662,7 +662,7 @@ def presentation_to_json(p: Presentation) -> dict:
 def _check_vars(used: frozenset, arity: int, what: str):
     bad = sorted((v for v in used if not (type(v) is int and 0 <= v < arity)), key=repr)
     if bad:
-        raise ValueError(f"{what} uses variable {bad[0]!r} but has arity {arity}")
+        raise ValueError(f"{what} uses variable {quote(bad[0])} but has arity {arity}")
 
 
 _JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
@@ -681,7 +681,7 @@ def _field(obj, key: str, kind: type, what: str, default=None):
 def _nat_field(obj, key: str, what: str) -> int:
     value = _field(obj, key, int, what)
     if value < 0:
-        raise ValueError(f"{what} needs {key!r} at least 0, got {value}")
+        raise ValueError(f"{what} needs {key!r} at least 0, got {quote(value)}")
     return value
 
 
@@ -692,22 +692,23 @@ def presentation_from_json(data) -> Presentation:
         what = f"generator clause {k}"
         c = GenClause(_field(g, "family", str, what), _nat_field(g, "arity", what),
                       Pred.from_json(g["pred"]))
-        _check_vars(c.pred.vars(), c.arity, f"{what} ({c.family!r})")
+        _check_vars(c.pred.vars(), c.arity, f"{what} ({quote(c.family)})")
         gens.append(c)
     rels = []
     for k, r in enumerate(_field(data, "relators", list, "presentation")):
-        what = f"relator {k} ({_field(r, 'label', str, f'relator {k}', '')!r})"
+        what = f"relator {k} ({quote(_field(r, 'label', str, f'relator {k}', ''))})"
         tpl = []
         for t in _field(r, "letters", list, what):
             exp = _field(t, "exp", int, what)
             if exp not in (1, -1):
-                raise ValueError(f"{what}: letter exponent must be 1 or -1, got {exp}")
+                raise ValueError(f"{what}: letter exponent must be 1 or -1, "
+                                 f"got {quote(exp)}")
             index = _field(t, "index", list, what)
             tpl.append(LetterTemplate(_field(t, "family", str, what), exp,
                                       tuple(Poly.from_json(e) for e in index)))
         mode = _field(r, "mode", str, what, "decidable")
         if mode not in ("decidable", "enumerable"):
-            raise ValueError(f"{what}: unknown mode {mode!r}")
+            raise ValueError(f"{what}: unknown mode {quote(mode)}")
         s = RelatorSchema(_nat_field(r, "arity", what), tuple(tpl),
                           Pred.from_json(r["constraint"]), mode, r.get("label", ""))
         used = s.constraint.vars().union(*(e.vars() for t in tpl for e in t.index))

@@ -51,15 +51,21 @@ def rat_op(kind: str, a: Fraction, b: Fraction) -> Fraction:
 QUOTE_LIMIT = 100
 
 
-def quote(text: str) -> str:
-    """`repr(text)` for an error message, cut to QUOTE_LIMIT characters.
+def quote(value) -> str:
+    """`repr(value)` for an error message, cut to QUOTE_LIMIT characters.
 
-    A longer text is cut and marked with its full length, so a hostile
-    input cannot make the message as long as itself.
+    A longer string, or a value with a longer repr, is cut and marked with
+    its full length, so a hostile input cannot make the message as long as
+    itself.
     """
+    if type(value) is str:
+        if len(value) <= QUOTE_LIMIT:
+            return repr(value)
+        return f"{value[:QUOTE_LIMIT]!r}... ({len(value)} characters)"
+    text = repr(value)
     if len(text) <= QUOTE_LIMIT:
-        return repr(text)
-    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
+        return text
+    return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
 
 
 def format_rat(x: Fraction) -> str:

@@ -298,7 +298,9 @@ class UHandle:
     forced path found within F units, where a unit is one step level, one
     forced step or one candidate path.  Every factor is charged for every
     level up to its accepting path as a fresh walk of that level costs, so
-    the verdict does not depend on earlier calls.
+    the verdict does not depend on earlier calls.  The charge is counted
+    from the enumerator, never walked: one guarded run per factor finds the
+    only path that can accept, and its rank prices its level.
     """
 
     guarded: BssProgram
@@ -310,13 +312,13 @@ class UHandle:
             return False
         enum = self.enum
         left = fuel
-        for _, vec in decomp:
+        for k, (_, vec) in enumerate(decomp):
             # Replay accepts a forced path exactly when the guarded run on vec
             # takes that path's branch outcomes (`execute` and `_Builder.emit`
-            # share semantics), so only the level of the run's halting step
-            # can accept.  Every level costs at least one unit, so if the run
-            # does not halt within the fuel left, no level the walk below can
-            # reach has an accepting path.
+            # share semantics), so only the run's own path, at the level of
+            # its halting step, can accept.  Every level costs at least one
+            # unit, so if the run does not halt within the fuel left, no level
+            # the walk below can reach has an accepting path.
             res = run(self.guarded, vec, left)
             if not res.halted:
                 return False
@@ -327,33 +329,27 @@ class UHandle:
             # step, either the fuel left pays for the whole walk, whose
             # `halting(steps)` candidates all fail, or the walk would stop
             # short with the fuel spent, and the test fails whatever its
-            # cut-short list holds.  At the halting step a walk paid for in
-            # full lists the whole level in the frozen order, which the
-            # memoised level is; a walk cut short is walked afresh, since its
-            # list, in walk order, may still hold the accepting path.
+            # cut-short list holds.
             for steps in range(res.steps):
                 left -= 1  # one unit per step level
                 walked = enum.walked(steps)
                 if left < walked:  # also a level begun with no fuel left
                     return False
                 left -= walked + enum.halting(steps)
-            if left <= 0:
-                return False
+            # At the halting step a walk lists the run's path once it has
+            # taken `reached` forced steps; a walk paid for in full then
+            # replays the `before` paths ahead of it in the frozen order and
+            # the path itself.  A walk cut short leaves no fuel for a later
+            # factor, and neither does this charge, since then left < walked.
             left -= 1
             walked = enum.walked(res.steps)
-            if left >= walked:
-                left -= walked
-                candidates = enum.level(len(vec), res.steps)
-            else:
-                counter = [left]
-                candidates = enum.exact(len(vec), res.steps, counter)
-                left = counter[0]
-            for path in candidates:
-                left -= 1  # one unit per candidate replay
-                if slp.replay(path, vec) is not None:
-                    break
-            else:
+            if left >= walked and k == len(decomp) - 1:
+                return True  # the last factor's charge is never read
+            bits = slp.run_path(self.guarded, vec, res.steps).guard_string
+            reached, before = enum.rank(bits, res.steps)
+            if left < reached:
                 return False
+            left -= walked + before + 1
         return True
 
     def member_tagged(self, w: Word) -> bool:

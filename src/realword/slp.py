@@ -26,6 +26,10 @@ ordered by their branch-decision strings (shorter strings first, and the
 >= 0 outcome sorting before the < 0 outcome position-wise).  Index n maps
 to (block, offset) through the Cantor pairing; offsets past the end of a
 block yield None and callers skip them.
+
+Fueled membership prices a walk of a level without listing it:
+`PathEnumerator` counts forced prefixes by forced state, and ranks one
+path within its level by the same kind of count.
 """
 
 from __future__ import annotations
@@ -253,21 +257,20 @@ class PathEnumerator:
     halt in exactly B - d steps (in the frozen per-(d, F) order).  Index n
     unpacks as Cantor (B, k).
 
-    Fueled membership reads two more records of the enumerator: whole
-    levels, walked once each, and a forward count of forced prefixes by
-    forced state (label, i, j).  A forced walk ignores register values, so
-    the count does not depend on d: at depth t, live(t) prefixes stand at an
-    instruction other than halt and `halting(t)` at halt.  `walked(s)`, the
-    sum of live(t) over t < s, is exactly the number of forced steps the
-    walk of any level (d, s) takes, and `halting(s)` the number of paths it
-    finds.  The count grows one depth at a time, and only as far as a
-    caller asks.
+    Fueled membership never lists a level.  It reads a forward count of
+    forced prefixes by forced state (label, i, j) instead.  A forced walk
+    ignores register values, so the count does not depend on d: at depth t,
+    live(t) prefixes stand at an instruction other than halt and
+    `halting(t)` at halt.  `walked(s)`, the sum of live(t) over t < s, is
+    exactly the number of forced steps the walk of any level (d, s) takes,
+    and `halting(s)` the number of paths it finds.  The count grows one
+    depth at a time, and only as far as a caller asks.  `rank` places one
+    path within its level by the same kind of count.
     """
 
     def __init__(self, program: BssProgram):
         self.program = program
         self._blocks: dict[int, list[Path]] = {}
-        self._levels: dict[tuple[int, int], list[Path]] = {}
         # the count so far: halting(t) for every counted depth t, walked(t)
         # up to one depth further, and the live states of the deepest
         # counted depth with their numbers of prefixes
@@ -276,21 +279,9 @@ class PathEnumerator:
         self._live: dict[tuple[int, int, int], int] = {}
         self._tally({(1, 1, 1): 1})
 
-    def exact(self, d: int, steps: int, counter: Optional[list[int]] = None) -> list[Path]:
-        """The (d, steps) level, walked afresh on every call.
-
-        With a counter this is the cut-short walk a fueled caller pays for
-        step by step; `level` and `block` memoise whole levels.
-        """
-        return _forced_dfs(self.program, d, steps, counter)
-
-    def level(self, d: int, steps: int) -> list[Path]:
-        """The whole (d, steps) level, walked on the first call only."""
-        key = (d, steps)
-        got = self._levels.get(key)
-        if got is None:
-            got = self._levels[key] = self.exact(d, steps)
-        return got
+    def exact(self, d: int, steps: int) -> list[Path]:
+        """The (d, steps) level, walked afresh on every call."""
+        return _forced_dfs(self.program, d, steps)
 
     def walked(self, steps: int) -> int:
         """Forced steps of a walk of level `steps`, whatever its d."""
@@ -303,6 +294,43 @@ class PathEnumerator:
         while len(self._halting) <= steps:
             self._extend()
         return self._halting[steps]
+
+    def rank(self, bits: str, steps: int) -> tuple[int, int]:
+        """Where the forced path with branch bits `bits` halting at `steps`
+        stands in a walk of its level: `(reached, before)`.
+
+        `reached` is the forced steps the walk takes up to the path's leaf in
+        its 1-first preorder, and `before` the level's paths ahead of the path
+        in the frozen order.  Prefixes are counted depth by depth, keyed by
+        forced state, number of branch bits and `rel`: -1, 0 or +1 as the
+        prefix is before, on or after the path in preorder.
+        """
+        instructions = self.program.instructions
+        states = {(1, 1, 1, 0, 0): 1}
+        reached = 0
+        for _ in range(steps):
+            nxt: dict[tuple[int, int, int, int, int], int] = {}
+            for (n, i, j, m, rel), count in states.items():
+                ins = instructions[n - 1]
+                if ins.kind == "halt":
+                    continue
+                if rel <= 0:
+                    reached += count
+                if ins.kind == "branch":
+                    # at the first bit that differs, taking '1' where the
+                    # path took '0' puts the prefix before it, and vice versa
+                    for taken in (True, False):
+                        key = (*advance(ins, n, i, j, taken), m + 1,
+                               rel or int(bits[m]) - taken)
+                        nxt[key] = nxt.get(key, 0) + count
+                else:
+                    key = (*advance(ins, n, i, j, None), m, rel)
+                    nxt[key] = nxt.get(key, 0) + count
+            states = nxt
+        before = sum(count for (n, _, _, m, rel), count in states.items()
+                     if instructions[n - 1].kind == "halt"
+                     and (m < len(bits) or m == len(bits) and rel < 0))
+        return reached, before
 
     def _extend(self):
         """Count one depth more: one forced step from every live state."""

@@ -257,6 +257,16 @@ def test_malformed_presentation_is_a_usage_error(text, message, tmp_path, capsys
     assert message in captured.err
 
 
+def test_hostile_presentation_value_is_a_bounded_usage_error(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(_relator_text(json.dumps({"op": "x" * 200_000, "args": []})))
+    assert main(["wp", str(path), "--word", "x(0) . x(1)^-1", "--fuel", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown polynomial op 'xxx" in captured.err
+    assert len(captured.err) < 1000
+
+
 @pytest.mark.parametrize("data, message", [
     ([1], "certificate entry 0 needs"),
     ([{"conjugator": "1", "relator": "1", "schema": "0", "params": []}],

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from realword.rationals import QUOTE_LIMIT
 from realword.predicates import (FALSE, MAX_POW_EXPONENT, TRUE, Poly, Pred,
                                  conj, const, disj, eq, ge, gt, is_int,
                                  is_nat, le, lt, ne,
@@ -102,6 +103,27 @@ def test_pow_exponent_cap():
                  power({"op": "add", "args": [power(v0, 11), v0]}, 10)):
         with pytest.raises(ValueError, match="exceeds"):
             Poly.from_json(node)
+
+
+# JSON nodes whose offending value is far longer than any message may be
+HOSTILE_NODES = [
+    (Poly, {"op": "x" * 200_000, "args": []}),
+    (Poly, {"op": "const", "value": list(range(50_000))}),
+    (Poly, {"op": "var", "i": "1" * 100_000}),
+    (Poly, {"op": "pow", "args": [{"op": "var", "i": 0}], "k": "1" * 100_000}),
+    (Pred, {"op": "cmp", "rel": "x" * 100_000,
+            "lhs": {"op": "var", "i": 0}, "rhs": {"op": "var", "i": 0}}),
+    (Pred, {"op": "x" * 100_000, "args": []}),
+]
+
+
+@pytest.mark.parametrize("cls, node", HOSTILE_NODES,
+                         ids=["poly-op", "const-list", "var-string", "pow-string",
+                              "cmp-rel", "pred-op"])
+def test_json_error_messages_are_bounded(cls, node):
+    with pytest.raises(ValueError) as err:
+        cls.from_json(node)
+    assert len(str(err.value)) < QUOTE_LIMIT + 80, str(err.value)[:300]
 
 
 def test_eval_total():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -479,3 +480,67 @@ def test_count_stops_at_the_last_level_paid_for():
         assert not uh.member_within(w, fuel)
         assert len(uh.enum._halting) - 1 == paid, fuel
     assert len(uh.enum._live) > 20  # the states did multiply
+
+
+def _doubling(k, signed=False):
+    """k branches to the next label, then halt: level s of the forced tree
+    has 2^s prefixes, and every path halts at step k.  `signed` first sets
+    r0 to -r1, so the run on x > 0 takes the '0' outcome every time and its
+    path comes last in its level."""
+    head = "1: sub r0 r0 r1\n" if signed else ""
+    return parse_program(head + "".join(f"{n}: brgeq {n + 1}\n"
+                                        for n in range(1 + signed, k + 1 + signed))
+                         + f"{k + 1 + signed}: halt\n")
+
+
+def test_halting_level_is_never_walked(monkeypatch):
+    # a fresh walk of the halting level of k = 18 lists 2^18 paths; the
+    # run's path is ranked in it instead, and not at all for a last factor
+    # whose fuel pays for the whole walk
+    walks, ranks = [], []
+    real_dfs, real_rank = slp._forced_dfs, slp.PathEnumerator.rank
+    monkeypatch.setattr(slp, "_forced_dfs", lambda *a: walks.append(a) or real_dfs(*a))
+    monkeypatch.setattr(slp.PathEnumerator, "rank",
+                        lambda self, *a: ranks.append(a) or real_rank(self, *a))
+    uh = assemble_u(_doubling(18))
+    assert uh.member_within(encode_w((F(1),)), 10**6)
+    assert ranks == []
+    # the first factor pays 2^19 units in full; the second reaches its
+    # halting level with too little fuel for a whole walk, which still lists
+    # the all-'1' path after the 18 forced steps down to it
+    assert uh.member_within(concat(encode_w((F(1),)), encode_w((F(2),))), 10**6)
+    assert ranks == [("1" * 18, 18)] * 2
+    assert walks == []
+
+
+def test_membership_memory_stays_small():
+    # all 2^21 paths of the halting level would take gigabytes
+    uh = assemble_u(_doubling(21))
+    w = concat(encode_w((F(1),)), encode_w((F(2),)))
+    tracemalloc.start()
+    try:
+        assert uh.member_within(w, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
+def test_two_factor_rank_matches_walk():
+    # the charge of a first factor whose path comes first, or last, in its
+    # level, at every fuel just below the word's boundary and at a spread of
+    # fuels around it, where the second factor's halting level is cut short
+    one, minus = encode_w((F(1),)), encode_w((F(-1),))
+    for prog, w in ((_doubling(10), concat(one, encode_w((F(2),)))),
+                    (_doubling(10, signed=True), concat(one, minus)),
+                    (_doubling(10, signed=True), concat(minus, one))):
+        lo, own = 0, 10**5  # bisect for the word's own boundary
+        assert assemble_u(prog).member_within(w, own)
+        while lo + 1 < own:
+            mid = (lo + own) // 2
+            lo, own = (lo, mid) if assemble_u(prog).member_within(w, mid) else (mid, own)
+        uh = assemble_u(prog)
+        fuels = {*range(own - 20, own + 3), *range(own - 1100, own + 1100, 71)}
+        for fuel in sorted(fuels):
+            assert uh.member_within(w, fuel) == walk_member_within(prog, w, fuel), \
+                (format_word(w), fuel)

@@ -133,8 +133,7 @@ def test_enumeration_distinct_and_valid():
 
 
 def test_counts_match_forced_walk():
-    # the forward count gives every level's forced steps and paths for any
-    # d, and `level` is the uncounted walk, memoised
+    # the forward count gives every level's forced steps and paths for any d
     for name, mk in ALL_PROGRAMS.items():
         prog = mult_guard_transform(mk())
         en = PathEnumerator(prog)
@@ -144,8 +143,29 @@ def test_counts_match_forced_walk():
                 paths = _forced_dfs(prog, d, steps, counter)
                 assert (10**9 - counter[0], len(paths)) == \
                     (en.walked(steps), en.halting(steps)), (name, steps, d)
-                assert en.level(d, steps) == paths
-                assert en.level(d, steps) is en.level(d, steps)
+
+
+def test_rank_matches_forced_walk():
+    # a path's rank is its index in its level, and a walk cut short after
+    # `reached` forced steps lists it while one step fewer does not; besides
+    # the reference programs, one whose levels mix paths of many bit lengths
+    mixed = parse_program("1: brgeq 4\n2: copy i+\n3: brgeq 1\n4: brgeq 6\n"
+                          "5: halt\n6: add r0 r1 r2\n7: brgeq 1\n8: halt\n")
+    progs = {name: mult_guard_transform(mk()) for name, mk in ALL_PROGRAMS.items()}
+    progs["mixed"] = mixed
+    ranked = 0
+    for name, prog in progs.items():
+        en = PathEnumerator(prog)
+        for steps in range(15):
+            for d in (0, 1):
+                for index, p in enumerate(_forced_dfs(prog, d, steps)):
+                    reached, before = en.rank(p.guard_string, steps)
+                    assert before == index, (name, steps, d, p.guard_string)
+                    assert p in _forced_dfs(prog, d, steps, [reached])
+                    if reached:  # level 0 lists its path without a step
+                        assert p not in _forced_dfs(prog, d, steps, [reached - 1])
+                    ranked += 1
+    assert ranked == 64 + 130
 
 
 def test_desk_scale_path_completeness():
