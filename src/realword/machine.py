@@ -22,6 +22,13 @@ copy-registers; the assembly accepts optional `i+ i0 j+ j0` suffix tokens
 for that (plain programs never need them).  `step` and `run` drive
 `execute`; forced path enumeration in `slp` drives `advance`.
 
+Register values are exact, so a loop of multiplications can double their
+size every pass: a `mul` or `div` whose result has more than MAX_BITS bits
+in its numerator or denominator ends the run with status `over_bit_cap`
+(in the BSS model an operation costs one step whatever its operands, so
+the fuel alone does not bound the host's work).  `add` and `sub` grow a
+value by at most one bit per step, so the fuel bounds them.
+
 Division by zero is not an error value: the machine is considered to
 diverge on that input, and `mult_guard_transform` rewrites programs so that
 every multiplication is preceded by explicit zero tests (assigning 0
@@ -41,6 +48,15 @@ from .rationals import DivisionByZero, RatVec, format_rat, parse_rat, quote, rat
 
 _CTL = ("=", "+", "0")
 _ZERO = Fraction(0)
+
+# largest numerator or denominator, in bits, that a `mul` or `div` may
+# write; the tests, the acceptance checks and the benchmark inputs reach
+# 12 bits in a `mul` or `div` result and 27 in any register
+MAX_BITS = 100_000
+
+
+class BitCapExceeded(ArithmeticError):
+    """A `mul` or `div` result has more than MAX_BITS bits."""
 
 
 @dataclass(frozen=True)
@@ -133,12 +149,18 @@ def execute(ins: Instruction, regs: dict[int, Fraction], n: int, i: int, j: int)
     """Apply `ins` (not halt) to `regs` in place; returns ((n, i, j), taken).
 
     `taken` is the branch outcome (None off branches).  A zero divisor
-    raises DivisionByZero and leaves `regs` untouched.
+    raises DivisionByZero, and a `mul` or `div` result over MAX_BITS bits
+    BitCapExceeded; both leave `regs` untouched.
     """
     kind = ins.kind
     taken = None
     if kind == "compute":
-        regs[ins.target] = rat_op(ins.op, regs.get(ins.a, _ZERO), regs.get(ins.b, _ZERO))
+        op = ins.op
+        v = rat_op(op, regs.get(ins.a, _ZERO), regs.get(ins.b, _ZERO))
+        if (op == "mul" or op == "div") and (v.numerator.bit_length() > MAX_BITS
+                                             or v.denominator.bit_length() > MAX_BITS):
+            raise BitCapExceeded(f"{op} result over {MAX_BITS} bits")
+        regs[ins.target] = v
     elif kind == "assign":
         regs[ins.target] = ins.const
     elif kind == "copy":
@@ -156,7 +178,8 @@ def step(program: BssProgram, config: Configuration):
     """One small step; returns the next Configuration or HALTED.
 
     Raises DivisionByZero for a zero divisor (run() folds that into
-    divergence).
+    divergence) and BitCapExceeded for a `mul` or `div` result over
+    MAX_BITS bits.
     """
     ins = program.instructions[config.n - 1]
     if ins.kind == "halt":
@@ -168,7 +191,7 @@ def step(program: BssProgram, config: Configuration):
 
 @dataclass(frozen=True)
 class RunResult:
-    status: str  # halted | out_of_fuel | division_by_zero
+    status: str  # halted | out_of_fuel | division_by_zero | over_bit_cap
     steps: int
     output: Optional[RatVec] = None
     final: Optional[Configuration] = None
@@ -194,10 +217,10 @@ def run(program: BssProgram, input_vec: Sequence[Fraction], fuel: int) -> RunRes
     a loop that never halts costs a few of its periods, not the whole fuel.
     The skip is exact.  The machine is deterministic, so from a repeated
     configuration it cycles through the same configurations forever, and
-    none of them halts or divides by zero: the run would have stopped there
-    the first time round.  Whole periods later it is back where it was, so
-    the result (status `out_of_fuel`, `steps == fuel`, `final`) is the one
-    the step-by-step run reaches.
+    none of them halts, divides by zero or crosses the bit cap: the run
+    would have stopped there the first time round.  Whole periods later it
+    is back where it was, so the result (status `out_of_fuel`,
+    `steps == fuel`, `final`) is the one the step-by-step run reaches.
     """
     # the inputs and every written register, so a halting run outputs 1..max(regs)
     regs = {k + 1: Fraction(v) for k, v in enumerate(input_vec)}
@@ -217,6 +240,9 @@ def run(program: BssProgram, input_vec: Sequence[Fraction], fuel: int) -> RunRes
             (m, i, j), _ = execute(ins, regs, n, i, j)
         except DivisionByZero:
             status = "division_by_zero"
+            break
+        except BitCapExceeded:
+            status = "over_bit_cap"
             break
         count += 1
         if m <= n:

@@ -36,8 +36,9 @@ from .predicates import (Poly, Pred, TRUE, conj, const, eq,
                          shift_pred, solve_unknown, var)
 from .rationals import (RatVec, _nat_tuple, enumerate_vectors, format_rat,
                         parse_rat, quote, unpair, vector_arity)
-from .words import (EMPTY, GenSym, Word, _concat_ids, concat, format_word,
-                    free_reduce, intern_parts, invert, parse_word)
+from .words import (_ID_SYMS, EMPTY, GenSym, Word, _concat_ids, _reduce_ids,
+                    concat, format_word, free_reduce, intern_parts, invert,
+                    parse_word)
 
 
 class ArityMismatch(ValueError):
@@ -227,18 +228,22 @@ class _Streams:
     empty word first, then by (length, letter-index tuple) with each
     generator symbol contributing +1 before -1.  A raw index whose vector
     has no schema's (clause's) arity is skipped without building the vector.
+    Each relator keeps the ids of its inverse, and each conjugator built is
+    kept with the ids of its inverse, for the life of the streams (one search).
     """
 
     def __init__(self, p: Presentation):
         self.p = p
-        self.relators: list[tuple[int, RatVec, Word]] = []
+        # (schema index, params, relator, ids of the inverted relator)
+        self.relators: list[tuple[int, RatVec, Word, tuple[int, ...]]] = []
         self._rel_raw = 0
         self._rel_arities = {s.arity for s in p.relators}
         self.letters: list[tuple[GenSym, int]] = []
         self._let_raw = 0
         self._let_arities = {c.arity for c in p.generators}
+        self._conjugators: dict[int, tuple[Word, tuple[int, ...]]] = {0: (EMPTY, ())}
 
-    def relator(self, i: int) -> Optional[tuple[int, RatVec, Word]]:
+    def relator(self, i: int) -> Optional[tuple[int, RatVec, Word, tuple[int, ...]]]:
         budget = _SCAN_STEP
         while len(self.relators) <= i and budget > 0:
             raw = self._rel_raw
@@ -249,7 +254,8 @@ class _Streams:
             vec = enumerate_vectors(raw)
             for si, s in enumerate(self.p.relators):
                 if s.arity == len(vec) and s.admits(vec):
-                    self.relators.append((si, vec, s.instantiate(vec, check=False)))
+                    r = s.instantiate(vec, check=False)
+                    self.relators.append((si, vec, r, invert(r).ids))
         return self.relators[i] if i < len(self.relators) else None
 
     def letter(self, i: int) -> Optional[tuple[GenSym, int]]:
@@ -268,19 +274,21 @@ class _Streams:
                     self.letters.append((g, -1))
         return self.letters[i] if i < len(self.letters) else None
 
-    def conjugator(self, i: int) -> Optional[Word]:
-        if i == 0:
-            return EMPTY
+    def conjugator(self, i: int) -> Optional[tuple[Word, tuple[int, ...]]]:
+        """The i-th conjugator and the ids of its inverse."""
+        got = self._conjugators.get(i)
+        if got is not None:
+            return got
         length1, m = unpair(i - 1)
-        length = length1 + 1
-        idxs = _nat_tuple(length, m)
         letters = []
-        for k in idxs:
+        for k in _nat_tuple(length1 + 1, m):
             got = self.letter(k)
             if got is None:
                 return None
             letters.append(got)
-        return Word.from_letters(letters)
+        c = Word.from_letters(letters)
+        got = self._conjugators[i] = (c, invert(c).ids)
+        return got
 
 
 _MAX_SCAN_CALLS = 500  # ~10^7 raw indices before an index is declared unreachable
@@ -303,7 +311,7 @@ def enumerate_conjugators(p: Presentation, index: int) -> Word:
     for _ in range(_MAX_SCAN_CALLS):
         got = st.conjugator(index)
         if got is not None:
-            return got
+            return got[0]
     raise ValueError(f"conjugator index {index} not reachable in {p.label!r}")
 
 
@@ -506,19 +514,28 @@ def verify_certificate(p: Presentation, w: Word, cert: Certificate) -> bool:
 # (L, params, relator, ids of the freely reduced inverse of the tail)
 _Hit = tuple[int, RatVec, Word, tuple[int, ...]]
 _NO_HITS: tuple[_Hit, ...] = ()
-# (family, exp, index length) of a letter -> (schema index, schema) pairs
-_Heads = dict[tuple[str, int, int], list[tuple[int, RelatorSchema]]]
 
 
-def _head_table(p: Presentation) -> _Heads:
-    """Decidable schemas keyed by the shape of their first template letter,
-    in schema order; a schema can match only at a letter of that shape."""
-    heads: _Heads = {}
-    for si, s in enumerate(p.relators):
-        if s.mode == "decidable" and s.template:
-            t = s.template[0]
-            heads.setdefault((t.family, t.exp, len(t.index)), []).append((si, s))
-    return heads
+class _Heads(dict):
+    """Signed generator id -> the (schema index, schema) pairs, in schema
+    order, of the decidable schemas whose first template letter has the
+    shape (family, exp, index length) of that letter; a schema can match
+    only at a letter of that shape.  An id is looked up in `_ID_SYMS` the
+    first time it is seen, and the entry is kept for the rest of one search.
+    """
+
+    def __init__(self, p: Presentation):
+        super().__init__()
+        self.by_shape: dict[tuple[str, int, int], list[tuple[int, RelatorSchema]]] = {}
+        for si, s in enumerate(p.relators):
+            if s.mode == "decidable" and s.template:
+                t = s.template[0]
+                self.by_shape.setdefault((t.family, t.exp, len(t.index)), []).append((si, s))
+
+    def __missing__(self, v: int) -> Sequence[tuple[int, RelatorSchema]]:
+        g = _ID_SYMS[abs(v)]
+        got = self[v] = self.by_shape.get((g.family, 1 if v > 0 else -1, len(g.index)), ())
+        return got
 
 
 def _window_hits(schema: RelatorSchema, letters: Sequence[tuple[GenSym, int]],
@@ -540,19 +557,22 @@ def _goal_moves(u: Word, heads: _Heads,
                 memo: dict[tuple, tuple[_Hit, ...]]) -> list[tuple[CertEntry, Word]]:
     """Certificate steps that strictly shorten u, by schema-prefix matching.
 
-    `heads` is the presentation's `_head_table`.  `match_prefix` reads only
-    the template-length window at a position, so `memo` maps (schema index,
-    id window) to `_window_hits` for the rest of one search.
+    `heads` is the search's `_Heads`.  `match_prefix` reads only the
+    template-length window at a position, so `memo` maps (schema index, id
+    window) to `_window_hits` for the rest of one search; u's letters are
+    built only when a window misses.
     """
     out = []
     ids = u.ids
-    letters = u.letters
+    letters = None
     n = len(ids)
-    for i, (gen, exp) in enumerate(letters):
-        for si, schema in heads.get((gen.family, exp, len(gen.index)), ()):
+    for i, v in enumerate(ids):
+        for si, schema in heads[v]:
             key = (si, ids[i:i + len(schema.template)])
             hits = memo.get(key)
             if hits is None:
+                if letters is None:
+                    letters = u.letters
                 hits = memo[key] = _window_hits(schema, letters, ids, i)
             for L, params, relator, inv_tail in hits:
                 # u and inv_tail are freely reduced: only the junctions cancel
@@ -569,7 +589,7 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
     the node budget is exhausted.  The search is deterministic: goal-directed
     peeling moves first, then the frozen blind (conjugator, relator) dovetail,
     explored in cost order, so a result found at some fuel is returned
-    unchanged at any higher fuel.
+    unchanged at any higher fuel.  Every cache it keeps dies with the call.
     """
     if not check_word(p, w):
         raise ValueError("word contains letters outside the generator set")
@@ -585,7 +605,7 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
     # heap entries: (priority, seq, word, chain, move_index)
     heap: list[tuple[int, int, Word, tuple, int]] = [(0, 0, target, (), 0)]
     goal_cache: dict[tuple, list] = {}
-    heads = _head_table(p)
+    heads = _Heads(p)
     window_memo: dict[tuple, tuple[_Hit, ...]] = {}
     best: dict[tuple, int] = {target.ids: 0}
 
@@ -593,10 +613,11 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
         if not heap:
             return None
         prio, seq, u, chain, k = heapq.heappop(heap)
-        moves = goal_cache.get(u.ids)
+        uids = u.ids
+        moves = goal_cache.get(uids)
         if moves is None:
-            moves = goal_cache[u.ids] = _goal_moves(u, heads, window_memo)
-        ucost = best.get(u.ids, prio)
+            moves = goal_cache[uids] = _goal_moves(u, heads, window_memo)
+        ucost = best.get(uids, prio)
 
         # schedule this state's next move
         nk = k + 1
@@ -607,30 +628,37 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
 
         if k < len(moves):
             entry, u1 = moves[k]
+            ids1 = u1.ids
             edge = 1
         else:
             if not has_blind:
                 continue
             ci, ri = unpair(k - len(moves))
             rel = st.relator(ri)
-            conj_w = st.conjugator(ci)
-            if rel is None or conj_w is None:
+            conj = st.conjugator(ci)
+            if rel is None or conj is None:
                 continue  # stream not materialized this far yet; fuel spent
-            si, params, rword = rel
-            entry = CertEntry(conj_w, rword, si, params)
-            u1 = concat(conj_w, invert(rword), invert(conj_w), u)
+            si, params, rword, r_inv = rel
+            c, c_inv = conj
+            # concat(c, invert(rword), invert(c), u); its Word only if kept
+            ids1 = _reduce_ids(c.ids + r_inv + c_inv + uids)
+            entry = None
             edge = 2 + (k - len(moves))
 
-        nchain = chain + (entry,)
-        if len(u1) == 0:
-            return Certificate(nchain)
+        # a duplicate is dropped before its entry and chain are built; the
+        # empty word is never in `best`, so it always reaches the return
         ncost = ucost + edge
-        old = best.get(u1.ids)
+        old = best.get(ids1)
         if old is not None and old <= ncost:
             continue
-        best[u1.ids] = ncost
+        if entry is None:
+            entry = CertEntry(c, rword, si, params)
+            u1 = Word(ids1)
+        if not ids1:
+            return Certificate(chain + (entry,))
+        best[ids1] = ncost
         counter += 1
-        heapq.heappush(heap, (ncost + 1, counter, u1, nchain, 0))
+        heapq.heappush(heap, (ncost + 1, counter, u1, chain + (entry,), 0))
     return None
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .machine import BssProgram, advance, execute
+from .machine import BitCapExceeded, BssProgram, advance, execute
 from .rationals import DivisionByZero, unpair
 
 PathOp = tuple  # ('assign', i, c) ('copy', i, j) ('add', i, j, k) ('neg', i, j)
@@ -197,7 +197,7 @@ def run_path(program: BssProgram, input_vec: Sequence[Fraction],
             break
         try:
             nxt, taken = execute(ins, regs, n, i, j)
-        except DivisionByZero:
+        except (DivisionByZero, BitCapExceeded):
             break
         b.emit(ins, i, j, taken)
         n, i, j = nxt

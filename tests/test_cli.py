@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -67,6 +68,21 @@ def test_reduce_agreement(capsys):
     out = capsys.readouterr().out
     assert "agree=True" in out and "group=member" in out
 
+
+
+def test_squaring_loop_ends_at_bit_cap(tmp_path, capsys):
+    path = tmp_path / "square.bss"
+    path.write_text("1: mul r1 r1 r1\n2: brgeq 1\n3: halt\n")
+    t0 = time.perf_counter()
+    assert main(["run", str(path), "--input", "3", "--fuel", "1000",
+                 "--format", "jsonl"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"status": "over_bit_cap", "steps": 30}
+    assert main(["reduce", str(path), "--input", "3", "--fuel", "1000",
+                 "--format", "jsonl"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert (rec["simulated"], rec["group"], rec["agree"]) == \
+        ("inconclusive", "not-within-fuel", True)
+    assert time.perf_counter() - t0 < 2
 
 def test_figure1_deterministic(capsys):
     assert main(["figure1", "--row", "add", "--samples", "10", "--seed", "3"]) == 0

@@ -1,14 +1,15 @@
 import random
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from realword import machine
-from realword.machine import (HALTED, MAX_REGISTER, Configuration, format_program,
-                              execute, initial_configuration, max_register,
-                              mult_guard_transform, parse_program, run,
-                              step)
+from realword.machine import (HALTED, MAX_BITS, MAX_REGISTER, Configuration,
+                              format_program, execute, initial_configuration,
+                              max_register, mult_guard_transform, parse_program,
+                              run, step)
 from realword.programs import (ALL_PROGRAMS, double_program, poly3_program,
                                recip_program, sign_program, square_program)
 from realword.rationals import QUOTE_LIMIT, DivisionByZero
@@ -276,3 +277,38 @@ def test_run_skips_repeated_configurations(monkeypatch):
         res = run(prog, x, 10**6)
         assert (res.status, res.steps) == ("out_of_fuel", 10**6)
         assert calls[0] < 100
+
+
+def test_bit_cap_ends_a_squaring_loop():
+    prog = parse_program("1: mul r1 r1 r1\n2: brgeq 1\n3: halt\n")
+    # r1 is 3^(2^k) after k passes: 51,937 bits at k = 15, 103,872 at k = 16
+    res = run(prog, (F(3),), 30)
+    assert (res.status, res.steps) == ("out_of_fuel", 30)
+    assert res.final.reg(1) == 3 ** 2 ** 15
+    for fuel in (31, 1000):
+        t0 = time.perf_counter()
+        res = run(prog, (F(3),), fuel)
+        assert time.perf_counter() - t0 < 1
+        # the crossing step is not counted and writes nothing, as a zero divisor
+        assert (res.status, res.steps, res.output) == ("over_bit_cap", 30, None)
+        assert res.final.n == 1 and res.final.reg(1) == 3 ** 2 ** 15
+
+
+def test_bit_cap_boundary():
+    mul = parse_program("1: mul r1 r1 r2\n2: halt\n")
+    div = parse_program("1: div r1 r1 r2\n2: halt\n")
+    big = F(2) ** (MAX_BITS - 2)  # MAX_BITS - 1 bits
+    # r1 op r2 has exactly MAX_BITS bits, in the numerator for the first two
+    # rows and in the denominator for the last two
+    for prog, x, y in ((mul, big, F(2)), (div, big, F(1, 2)),
+                       (div, 1 / big, F(2)), (mul, -1 / big, F(1, 2))):
+        res = run(prog, (x, y), 5)
+        out = res.output[0]
+        assert res.status == "halted"
+        assert max(out.numerator.bit_length(), out.denominator.bit_length()) == MAX_BITS
+        over = x * 2 if abs(x) > 1 else x / 2  # one bit more
+        res = run(prog, (over, y), 5)
+        assert (res.status, res.steps, res.final.reg(1)) == ("over_bit_cap", 0, over)
+    # add and sub grow one bit per step, so the fuel bounds them unchecked
+    add = parse_program("1: add r1 r1 r1\n2: halt\n")
+    assert run(add, (2 * big,), 5).output == (4 * big,)

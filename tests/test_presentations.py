@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -262,6 +263,68 @@ def test_goal_moves_equal_the_unmemoised_moves(monkeypatch):
             assert wp_semidecide(p, w, 1500) is None
     assert expanded > 1000
 
+
+
+# sha256 of the search output below, computed before the search's pops were
+# made cheaper; any change to search order or certificate bytes changes it
+SEARCH_DIGEST = "991056ce2d3d2f8ab6c8e0886525d0960ade59c3f5a2c1812515f3626d8d08aa"
+
+
+def test_search_output_is_pinned():
+    # four relator-built identities at fuel 100000 and four oracle-refuted
+    # words at fuel 1500 per builtin: verdicts and certificate JSON
+    h = hashlib.sha256()
+    rng = random.Random(12)
+    for name in ("circle", "torus", "sl2", "rationals-a", "rationals-b"):
+        p = BUILTIN_PRESENTATIONS[name]()
+        runs = [(w, 100_000) for w in _corpus_identities(name, p, rng, 4)]
+        runs += [(w, 1500) for w in _corpus_refuted(name, rng, 4)]
+        for w, fuel in runs:
+            cert = wp_semidecide(p, w, fuel)
+            out = None if cert is None else cert.to_json()
+            h.update(json.dumps([name, format_word(w), fuel, out]).encode() + b"\n")
+    assert h.hexdigest() == SEARCH_DIGEST
+
+
+def test_stream_memo_equals_fresh_enumeration():
+    # the per-search memo of conjugators and relator inverses against fresh
+    # streams, and a blind child built from it against `concat`
+    rng = random.Random(5)
+    for name in ("circle", "torus", "sl2", "rationals-a", "rationals-b"):
+        p = BUILTIN_PRESENTATIONS[name]()
+        st = presentations._Streams(p)
+        # one request scans a bounded stretch of raw indices: 200 relators,
+        # or fewer where they are sparse (26 in circle, 64 in rationals-b)
+        st.relator(199)
+        relators = len(st.relators)
+        for i in range(200):
+            c, c_inv = st.conjugator(i)
+            assert c == enumerate_conjugators(p, i)
+            assert c_inv == invert(c).ids
+        for i in range(relators):
+            _, _, r, r_inv = st.relator(i)
+            assert r == enumerate_relators(p, i)
+            assert r_inv == invert(r).ids
+        for u in _corpus_refuted(name, rng, 3):
+            for i in range(0, 200, 7):
+                c, c_inv = st.conjugator(i)
+                for j in range(0, relators, 5):
+                    r, r_inv = st.relator(j)[2:]
+                    assert presentations._reduce_ids(c.ids + r_inv + c_inv + u.ids) \
+                        == concat(c, invert(r), invert(c), u).ids
+
+
+def test_blind_proof_returns_at_once():
+    # callback schemas only: no head table, so every move is blind, and the
+    # word is conjugator 1 times relator 3 times its inverse
+    fam = WordFamily(1, (LetterTemplate("x", 1, (var(0),)),))
+    amal = amalgamate(free_pres(1, "k"), free_pres(1, "l"), fam, forward=lambda w: w)
+    w = parse_word("x(0,1) . x(1/2,2) . x(1/2,1)^-1 . x(0,1)^-1")
+    cert = wp_semidecide(amal, w, 1218)
+    assert cert.to_json() == [{"conjugator": "x(0,1)", "relator": "x(1/2,2) . x(1/2,1)^-1",
+                               "schema": 0, "params": ["1/2"]}]
+    assert verify_certificate(amal, w, cert)
+    assert wp_semidecide(amal, w, 1217) is None
 
 def test_verify_rejects_corruption():
     tor = torus_presentation()

@@ -544,3 +544,17 @@ def test_two_factor_rank_matches_walk():
         for fuel in sorted(fuels):
             assert uh.member_within(w, fuel) == walk_member_within(prog, w, fuel), \
                 (format_word(w), fuel)
+
+
+def test_member_within_treats_bit_cap_as_not_halting():
+    # two squarings take 2^30000 to 2^120000, past machine.MAX_BITS, where
+    # any small input halts
+    prog = parse_program("1: mul r1 r1 r1\n2: mul r1 r1 r1\n3: halt\n")
+    big = F(2) ** 30_000
+    handle = assemble_u(prog)
+    assert run(handle.guarded, (big,), 10**4).status == "over_bit_cap"
+    assert not handle.member_within(encode_w((big,)), 10**6)
+    assert handle.member_within(encode_w((F(3),)), 10**6)
+    rec = check_reduction(prog, [(big,)], 10**4)[0]
+    assert (rec["simulated"], rec["group"], rec["agree"]) == \
+        ("inconclusive", "not-within-fuel", True)
