@@ -36,16 +36,38 @@ def _load_program(spec: str):
         return parse_program(fh.read())
 
 
+MAX_JSON_DEPTH = 200  # lists and objects nested in a presentation or certificate file
+
+
+def _json_depth(doc) -> int:
+    """How deeply lists and objects nest in a parsed JSON document."""
+    deepest = 0
+    stack = [(doc, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, dict):
+            node = node.values()
+        elif not isinstance(node, list):
+            continue
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in node)
+    return deepest
+
+
 def _load_json(path: str, convert):
     """`convert` applied to the JSON document in file `path`.
 
-    Nesting too deep for the parser or for `convert` is a usage error.
+    Nesting deeper than `MAX_JSON_DEPTH`, or too deep for the parser or for
+    `convert`, is a usage error.
     """
     with open(path) as fh:
         try:
-            return convert(json.load(fh))
+            doc = json.load(fh)
+            if _json_depth(doc) <= MAX_JSON_DEPTH:
+                return convert(doc)
         except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+            pass
+    raise ValueError(f"{path}: JSON nested too deeply")
 
 
 def _load_presentation_arg(spec: str):

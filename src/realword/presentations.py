@@ -514,27 +514,38 @@ def verify_certificate(p: Presentation, w: Word, cert: Certificate) -> bool:
 # (L, params, relator, ids of the freely reduced inverse of the tail)
 _Hit = tuple[int, RatVec, Word, tuple[int, ...]]
 _NO_HITS: tuple[_Hit, ...] = ()
+# (position, schema index, params, relator, child ids)
+_Move = tuple[int, int, RatVec, Word, tuple[int, ...]]
+
+
+class _Shapes(dict):
+    """Signed generator id -> its letter's shape (family, exp, index length),
+    looked up in `_ID_SYMS` the first time the id is seen."""
+
+    def __missing__(self, v: int) -> tuple[str, int, int]:
+        g = _ID_SYMS[abs(v)]
+        got = self[v] = (g.family, 1 if v > 0 else -1, len(g.index))
+        return got
 
 
 class _Heads(dict):
-    """Signed generator id -> the (schema index, schema) pairs, in schema
-    order, of the decidable schemas whose first template letter has the
-    shape (family, exp, index length) of that letter; a schema can match
-    only at a letter of that shape.  An id is looked up in `_ID_SYMS` the
-    first time it is seen, and the entry is kept for the rest of one search.
+    """Signed generator id -> the (schema index, schema, template shapes)
+    triples, in schema order, of the decidable schemas whose first template
+    letter has that letter's shape; a schema can match only at a letter of
+    that shape.  Entries and `shapes` are kept for the rest of one search.
     """
 
     def __init__(self, p: Presentation):
         super().__init__()
-        self.by_shape: dict[tuple[str, int, int], list[tuple[int, RelatorSchema]]] = {}
+        self.shapes = _Shapes()
+        self.by_shape: dict[tuple[str, int, int], list] = {}
         for si, s in enumerate(p.relators):
             if s.mode == "decidable" and s.template:
-                t = s.template[0]
-                self.by_shape.setdefault((t.family, t.exp, len(t.index)), []).append((si, s))
+                tshapes = tuple((t.family, t.exp, len(t.index)) for t in s.template)
+                self.by_shape.setdefault(tshapes[0], []).append((si, s, tshapes))
 
-    def __missing__(self, v: int) -> Sequence[tuple[int, RelatorSchema]]:
-        g = _ID_SYMS[abs(v)]
-        got = self[v] = self.by_shape.get((g.family, 1 if v > 0 else -1, len(g.index)), ())
+    def __missing__(self, v: int) -> Sequence[tuple[int, RelatorSchema, tuple]]:
+        got = self[v] = self.by_shape.get(self.shapes[v], ())
         return got
 
 
@@ -554,21 +565,32 @@ def _window_hits(schema: RelatorSchema, letters: Sequence[tuple[GenSym, int]],
 
 
 def _goal_moves(u: Word, heads: _Heads,
-                memo: dict[tuple, tuple[_Hit, ...]]) -> list[tuple[CertEntry, Word]]:
+                memo: dict[tuple, tuple[_Hit, ...]]) -> list[_Move]:
     """Certificate steps that strictly shorten u, by schema-prefix matching.
 
-    `heads` is the search's `_Heads`.  `match_prefix` reads only the
-    template-length window at a position, so `memo` maps (schema index, id
-    window) to `_window_hits` for the rest of one search; u's letters are
-    built only when a window misses.
+    `heads` is the search's `_Heads`.  `match_prefix` stops at the first
+    letter whose shape differs from the template's, or at the end of the
+    word, and reads nothing after it, so `memo` maps (schema index, the ids
+    up to that letter) to `_window_hits` for the rest of one search; a
+    window cut at a mismatch means the same as one cut at the word's end.
+    u's letters are built only when a window misses.  A move's certificate
+    entry is `CertEntry(Word(u.ids[:i]), relator, si, params)`.
     """
     out = []
     ids = u.ids
     letters = None
     n = len(ids)
+    shapes = heads.shapes
     for i, v in enumerate(ids):
-        for si, schema in heads[v]:
-            key = (si, ids[i:i + len(schema.template)])
+        left = n - i
+        for si, schema, tshapes in heads[v]:
+            m = 1
+            end = len(tshapes)
+            if end > left:
+                end = left
+            while m < end and shapes[ids[i + m]] == tshapes[m]:
+                m += 1
+            key = (si, ids[i:i + m])
             hits = memo.get(key)
             if hits is None:
                 if letters is None:
@@ -578,7 +600,7 @@ def _goal_moves(u: Word, heads: _Heads,
                 # u and inv_tail are freely reduced: only the junctions cancel
                 u1 = _concat_ids(_concat_ids(ids[:i], inv_tail), ids[i + L:])
                 if len(u1) < n:
-                    out.append((CertEntry(Word(ids[:i]), relator, si, params), Word(u1)))
+                    out.append((i, si, params, relator, u1))
     return out
 
 
@@ -604,9 +626,13 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
     counter = 0
     # heap entries: (priority, seq, word, chain, move_index)
     heap: list[tuple[int, int, Word, tuple, int]] = [(0, 0, target, (), 0)]
-    goal_cache: dict[tuple, list] = {}
+    goal_cache: dict[tuple, list[_Move]] = {}
     heads = _Heads(p)
     window_memo: dict[tuple, tuple[_Hit, ...]] = {}
+    # blind index -> (c, relator, schema index, params, reduced c r^-1 c^-1);
+    # only materialized pairs are kept, so a stream short of an index is
+    # asked again on the next pop that needs it
+    blind: dict[int, tuple[Word, Word, int, RatVec, tuple[int, ...]]] = {}
     best: dict[tuple, int] = {target.ids: 0}
 
     for _ in range(fuel):
@@ -627,23 +653,28 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
             heapq.heappush(heap, (ucost + w_next, counter, u, chain, nk))
 
         if k < len(moves):
-            entry, u1 = moves[k]
-            ids1 = u1.ids
+            i, si, params, rword, ids1 = moves[k]
             edge = 1
         else:
             if not has_blind:
                 continue
-            ci, ri = unpair(k - len(moves))
-            rel = st.relator(ri)
-            conj = st.conjugator(ci)
-            if rel is None or conj is None:
-                continue  # stream not materialized this far yet; fuel spent
-            si, params, rword, r_inv = rel
-            c, c_inv = conj
-            # concat(c, invert(rword), invert(c), u); its Word only if kept
-            ids1 = _reduce_ids(c.ids + r_inv + c_inv + uids)
-            entry = None
-            edge = 2 + (k - len(moves))
+            j = k - len(moves)
+            got = blind.get(j)
+            if got is None:
+                ci, ri = unpair(j)
+                rel = st.relator(ri)
+                conj = st.conjugator(ci)
+                if rel is None or conj is None:
+                    continue  # stream not materialized this far yet; fuel spent
+                si, params, rword, r_inv = rel
+                c, c_inv = conj
+                got = blind[j] = (c, rword, si, params,
+                                  _reduce_ids(c.ids + r_inv + c_inv))
+            c, rword, si, params, q = got
+            # concat(c, invert(rword), invert(c), u): both operands reduced
+            ids1 = _concat_ids(q, uids)
+            i = None
+            edge = 2 + j
 
         # a duplicate is dropped before its entry and chain are built; the
         # empty word is never in `best`, so it always reaches the return
@@ -651,14 +682,12 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
         old = best.get(ids1)
         if old is not None and old <= ncost:
             continue
-        if entry is None:
-            entry = CertEntry(c, rword, si, params)
-            u1 = Word(ids1)
+        entry = CertEntry(c if i is None else Word(uids[:i]), rword, si, params)
         if not ids1:
             return Certificate(chain + (entry,))
         best[ids1] = ncost
         counter += 1
-        heapq.heappush(heap, (ncost + 1, counter, u1, chain + (entry,), 0))
+        heapq.heappush(heap, (ncost + 1, counter, Word(ids1), chain + (entry,), 0))
     return None
 
 

@@ -441,7 +441,7 @@ def check_certificate_roundtrip(seed: int) -> CheckResult:
             else:
                 failures.append((name, "false-proof", w))
     dt = time.time() - t0
-    ok = proved == verified == 500 and refuted_ok == 500 and not failures
+    ok = proved == verified == 500 and refuted_ok == 500 and not failures and dt < 120.0
     return CheckResult("certificate-roundtrip", ok,
                        f"{proved}/500 proved, {verified} verified, "
                        f"{refuted_ok}/500 refuted stay unproved, {dt:.1f}s", dt)

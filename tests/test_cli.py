@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from realword.cli import main
+from realword.cli import MAX_JSON_DEPTH, main
 from realword.machine import MAX_REGISTER
 from realword.predicates import MAX_POW_EXPONENT
 from realword.programs import SIGN_SRC
@@ -289,7 +289,11 @@ def test_hostile_presentation_value_is_a_bounded_usage_error(tmp_path, capsys):
      "certificate entry 0 needs"),
     ({"entries": []}, "a certificate is a JSON list"),
     ("[" * 100_000, "JSON nested too deeply"),
-], ids=["int-entry", "schema-string", "object", "deep"])
+    # at the nesting limit the lists are read and their shape rejected
+    ("[" * MAX_JSON_DEPTH + "]" * MAX_JSON_DEPTH, "certificate entry 0 needs"),
+    ("[" * (MAX_JSON_DEPTH + 1) + "]" * (MAX_JSON_DEPTH + 1), "JSON nested too deeply"),
+], ids=["int-entry", "schema-string", "object", "deep", "at-depth-limit",
+        "past-depth-limit"])
 def test_malformed_certificate_is_a_usage_error(data, message, tmp_path, capsys):
     cert = tmp_path / "c.json"
     cert.write_text(data if isinstance(data, str) else json.dumps(data))

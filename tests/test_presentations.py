@@ -249,7 +249,10 @@ def test_goal_moves_equal_the_unmemoised_moves(monkeypatch):
     def both(u, heads, memo):
         nonlocal expanded
         moves = memoised(u, heads, memo)
-        assert moves == _goal_moves_unmemoised(current["p"], u)
+        # the search builds a move's entry and child word only when it is kept
+        built = [(CertEntry(Word(u.ids[:i]), rel, si, params), Word(u1))
+                 for i, si, params, rel, u1 in moves]
+        assert built == _goal_moves_unmemoised(current["p"], u)
         expanded += 1
         return moves
 
@@ -263,6 +266,44 @@ def test_goal_moves_equal_the_unmemoised_moves(monkeypatch):
             assert wp_semidecide(p, w, 1500) is None
     assert expanded > 1000
 
+
+def test_match_prefix_reads_nothing_past_the_first_shape_mismatch(monkeypatch):
+    # the search memoises a window under its cut at the first letter whose
+    # (family, exp, index length) differs from the template's; the match
+    # there must equal the match on the word cut at that letter, and at the
+    # end of the word, which the cut key shares
+    expanded = []
+    memoised = presentations._goal_moves
+
+    def keep(u, heads, memo):
+        expanded.append(u)
+        return memoised(u, heads, memo)
+
+    monkeypatch.setattr(presentations, "_goal_moves", keep)
+    rng = random.Random(3)
+    cuts = {"mismatch": 0, "word end": 0, "template end": 0}
+    for name in ("circle", "torus", "sl2", "rationals-a", "rationals-b"):
+        p = BUILTIN_PRESENTATIONS[name]()
+        expanded.clear()
+        for w in _corpus_refuted(name, rng, 3):
+            assert wp_semidecide(p, w, 1500) is None
+        schemas = [s for s in p.relators if s.mode == "decidable"]
+        for u in dict.fromkeys(expanded):
+            letters = u.letters
+            for i in range(len(letters) + 1):
+                for schema in schemas:
+                    tpl = schema.template
+                    end = min(len(tpl), len(letters) - i)
+                    m = 0
+                    while m < end and (letters[i + m][0].family, letters[i + m][1],
+                                       len(letters[i + m][0].index)) \
+                            == (tpl[m].family, tpl[m].exp, len(tpl[m].index)):
+                        m += 1
+                    cuts["mismatch" if m < end else
+                         "template end" if m == len(tpl) else "word end"] += 1
+                    assert schema.match_prefix(letters, i) \
+                        == schema.match_prefix(letters[:i + m], i)
+    assert min(cuts.values()) > 100
 
 
 # sha256 of the search output below, computed before the search's pops were
@@ -311,6 +352,11 @@ def test_stream_memo_equals_fresh_enumeration():
                 for j in range(0, relators, 5):
                     r, r_inv = st.relator(j)[2:]
                     assert presentations._reduce_ids(c.ids + r_inv + c_inv + u.ids) \
+                        == concat(c, invert(r), invert(c), u).ids
+                    # the search's per-search form: c r^-1 c^-1 reduced once,
+                    # then joined to the reduced word at one junction
+                    q = presentations._reduce_ids(c.ids + r_inv + c_inv)
+                    assert presentations._concat_ids(q, u.ids) \
                         == concat(c, invert(r), invert(c), u).ids
 
 
