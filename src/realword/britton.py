@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .rationals import RatVec
-from .words import (EMPTY, GenSym, Letter, Word, concat, free_reduce, invert,
-                    nielsen_decompose)
+from .words import (_ID_SYMS, EMPTY, GenSym, Letter, Word, concat, free_reduce,
+                    intern_parts, invert, nielsen_decompose)
 
 NEG_POS_WITH_A = "NegPosWithA"
 POS_NEG_WITH_B = "PosNegWithB"
@@ -55,9 +55,6 @@ class HnnStructure:
     base_is_identity: Callable[[Word], bool]
     stable: dict[str, StableKind]
 
-    def is_stable(self, g: GenSym) -> bool:
-        return g.family in self.stable
-
 
 @dataclass(frozen=True)
 class PinchSite:
@@ -67,25 +64,29 @@ class PinchSite:
     letter: Letter
 
 
-def _stable_positions(h: HnnStructure, w: Word) -> list[tuple[int, GenSym, int]]:
-    return [(k, g, e) for k, (g, e) in enumerate(w.letters) if h.is_stable(g)]
+def _stable_positions(h: HnnStructure, w: Word) -> list[tuple[int, int]]:
+    # (position, signed id) of every stable letter
+    stable = h.stable
+    return [(k, v) for k, v in enumerate(w.ids) if _ID_SYMS[abs(v)].family in stable]
 
 
 def find_pinch(h: HnnStructure, w: Word) -> Optional[PinchSite]:
     """Leftmost pinch of a freely reduced word, or None."""
-    letters = w.letters
+    ids = w.ids
     stables = _stable_positions(h, w)
-    for (p1, g1, e1), (p2, g2, e2) in zip(stables, stables[1:]):
-        if g1 != g2 or e1 == e2:
+    for (p1, v1), (p2, v2) in zip(stables, stables[1:]):
+        # interning is structural, so this is "same letter, opposite exponents"
+        if v1 != -v2:
             continue
-        seg = Word.from_letters(letters[p1 + 1:p2])
-        kind = h.stable[g1.family]
-        if e1 == -1:
-            if kind.member_a(seg, g1.index):
-                return PinchSite(p1, p2 + 1, NEG_POS_WITH_A, (g1, e1))
+        g = _ID_SYMS[abs(v1)]
+        seg = Word(ids[p1 + 1:p2])
+        kind = h.stable[g.family]
+        if v1 < 0:
+            if kind.member_a(seg, g.index):
+                return PinchSite(p1, p2 + 1, NEG_POS_WITH_A, (g, -1))
         else:
-            if kind.member_b(seg, g1.index):
-                return PinchSite(p1, p2 + 1, POS_NEG_WITH_B, (g1, e1))
+            if kind.member_b(seg, g.index):
+                return PinchSite(p1, p2 + 1, POS_NEG_WITH_B, (g, 1))
     return None
 
 
@@ -96,14 +97,13 @@ def britton_reduce(h: HnnStructure, w: Word) -> Word:
         site = find_pinch(h, w)
         if site is None:
             return w
-        letters = w.letters
+        ids = w.ids
         g, _ = site.letter
-        seg = Word.from_letters(letters[site.start + 1:site.end - 1])
+        seg = Word(ids[site.start + 1:site.end - 1])
         kind = h.stable[g.family]
         image = (kind.forward if site.kind == NEG_POS_WITH_A else kind.backward)(
             seg, g.index)
-        w = concat(Word.from_letters(letters[:site.start]), image,
-                   Word.from_letters(letters[site.end:]))
+        w = concat(Word(ids[:site.start]), image, Word(ids[site.end:]))
 
 
 def hnn_is_identity(h: HnnStructure, w: Word) -> bool:
@@ -116,7 +116,7 @@ def hnn_is_identity(h: HnnStructure, w: Word) -> bool:
 
 def commutator(t: GenSym, g: Word) -> Word:
     """t . g . t^-1 . g^-1, the membership probe for commuting extensions."""
-    tw = Word.from_letters([(t, 1)])
+    tw = Word((intern_parts(t.family, t.index),))
     return concat(tw, g, invert(tw), invert(g))
 
 

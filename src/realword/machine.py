@@ -115,7 +115,7 @@ class Configuration:
 
 
 def _pack(regs: dict[int, Fraction]) -> tuple[tuple[int, Fraction], ...]:
-    return tuple(sorted((k, v) for k, v in regs.items() if v != 0))
+    return tuple(sorted((k, v) for k, v in regs.items() if v))
 
 
 def initial_configuration(input_vec: Sequence[Fraction]) -> Configuration:
@@ -223,7 +223,8 @@ def run(program: BssProgram, input_vec: Sequence[Fraction], fuel: int) -> RunRes
     `steps == fuel`, `final`) is the one the step-by-step run reaches.
     """
     # the inputs and every written register, so a halting run outputs 1..max(regs)
-    regs = {k + 1: Fraction(v) for k, v in enumerate(input_vec)}
+    regs = {k + 1: v if type(v) is Fraction else Fraction(v)
+            for k, v in enumerate(input_vec)}
     n = i = j = 1
     status, output, count = "out_of_fuel", None, min(fuel, 0)  # fuel < 0 runs no step
     jumps, mark, seen = 0, 1, None  # taken backward branches; snapshot schedule

@@ -390,7 +390,7 @@ def reduce_halting(program: BssProgram, vec: Sequence[Fraction]) -> tuple[Word, 
     the commutator of the query with the stable letter t is trivial in the
     commuting extension over U.
     """
-    query = encode_w(tuple(Fraction(x) for x in vec))
+    query = encode_w(vec)
     return query, commutator(GenSym("t"), query)
 
 

@@ -273,17 +273,17 @@ def span_decide(w: Word, member: Callable[[Word], bool],
 
 # -- conjugate pattern words ---------------------------------------------------
 
-def _pattern_ids(vec: RatVec, lo: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _pattern_ids(vec: Sequence, lo: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # returns (ids of the conjugator tail x_(lo,v_lo)...x_(hi,v_hi), id of y)
-    tail = tuple(_intern(GenSym("x", (Fraction(lo + i), Fraction(v))))
+    tail = tuple(intern_parts("x", (Fraction(lo + i),
+                                    v if type(v) is Fraction else Fraction(v)))
                  for i, v in enumerate(vec))
-    return tail, (_intern(GenSym("y")),)
+    return tail, (intern_parts("y", ()),)
 
 
 def encode_w(vec: Sequence) -> Word:
     """The pattern word x_(k,r_k)^-1 ... x_(1,r_1)^-1 . y . x_(1,r_1) ... x_(k,r_k)."""
-    v = tuple(Fraction(x) for x in vec)
-    tail, y = _pattern_ids(v, 1)
+    tail, y = _pattern_ids(vec, 1)
     return Word(tuple(-g for g in reversed(tail)) + y + tail)
 
 
@@ -291,8 +291,7 @@ def encode_w_tagged(n: int, vec: Sequence) -> Word:
     """Pattern word with the tag x_(0,n) inserted innermost on both sides."""
     if n < 0:
         raise ValueError("tag must be a natural number")
-    v = (Fraction(n),) + tuple(Fraction(x) for x in vec)
-    tail, y = _pattern_ids(v, 0)
+    tail, y = _pattern_ids((n, *vec), 0)
     return Word(tuple(-g for g in reversed(tail)) + y + tail)
 
 
@@ -301,9 +300,9 @@ def _x_parts(gen: GenSym, lo: int) -> Optional[tuple[int, Fraction]]:
     if gen.family != "x" or len(gen.index) != 2:
         return None
     i, s = gen.index
-    if i.denominator != 1 or i < lo:
+    if i.denominator != 1 or i.numerator < lo:
         return None
-    return int(i), s
+    return i.numerator, s
 
 
 def nielsen_decompose(w: Word, lo: int = 1) -> Optional[list[tuple[int, RatVec]]]:
@@ -314,10 +313,10 @@ def nielsen_decompose(w: Word, lo: int = 1) -> Optional[list[tuple[int, RatVec]]
     because the pattern words freely generate their span.  `lo` is the lowest
     register index in the pattern (0 for tagged words).
     """
-    w = free_reduce(w)
-    letters = w.letters
-    if not letters:
+    ids = _reduce_ids(w._ids)
+    if not ids:
         return []
+    letters = [(_ID_SYMS[v], 1) if v > 0 else (_ID_SYMS[-v], -1) for v in ids]
     y_positions = [p for p, (g, _) in enumerate(letters) if g.family == "y"]
     if not y_positions:
         return None

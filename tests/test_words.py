@@ -5,6 +5,8 @@ import pytest
 
 from realword.rationals import QUOTE_LIMIT
 
+from realword import words
+from realword.britton import commutator
 from realword.words import (EMPTY, MAX_EXPONENT, CapExceeded, GenSym, Word,
                             concat, encode_w, encode_w_tagged, format_word,
                             free_reduce, invert, nielsen_decompose,
@@ -159,6 +161,59 @@ def test_nielsen_decompose_examples():
     assert nielsen_decompose(word((GenSym("y"), 1))) == [(1, ())]
 
 
+def pattern_letters(vec, lo=1):
+    # the pattern word's letters, each symbol built by GenSym
+    tail = [(GenSym("x", (F(lo + i), F(v))), 1) for i, v in enumerate(vec)]
+    return [(g, -1) for g, _ in reversed(tail)] + [(GenSym("y"), 1)] + tail
+
+
+def test_encoders_intern_like_from_letters():
+    rng = random.Random(16)
+    # a range no other test draws from, so the first call interns fresh symbols
+    fresh = lambda: F(rng.randint(10**6, 2 * 10**6), rng.randint(1, 7))
+    for _ in range(50):
+        vec = tuple(fresh() for _ in range(rng.randint(0, 4)))
+        ints = tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 4)))
+        n = rng.randint(0, 5)
+        t = GenSym("t", (fresh(),))
+        for k, v in enumerate((vec, ints, vec + ints)):
+            before = len(words._ID_SYMS)
+            got = (encode_w(v), encode_w_tagged(n, v))
+            interned = len(words._ID_SYMS)
+            if k == 0 and vec:
+                assert interned > before  # fresh symbols were interned
+            expect = Word.from_letters(pattern_letters(v))
+            assert got == (expect, Word.from_letters(pattern_letters((n, *v), lo=0)))
+            assert len(words._ID_SYMS) == interned
+            comm = commutator(t, expect)
+            assert comm == Word.from_letters(
+                [(t, 1)] + list(expect.letters) + [(t, -1)]
+                + list(invert(expect).letters))
+            # every symbol is interned now: a second call adds none
+            interned = len(words._ID_SYMS)
+            assert (encode_w(v), encode_w_tagged(n, v)) == got
+            assert commutator(t, expect) == comm
+            assert len(words._ID_SYMS) == interned
+
+
+def test_nielsen_decompose_rejects_malformed_letters():
+    # each letter of a pattern word is x(i, s) with i an integer >= lo, or y
+    assert nielsen_decompose(parse_word("x(3/2,1)^-1 . y . x(3/2,1)")) is None
+    assert nielsen_decompose(
+        parse_word("x(1,1)^-1 . y . x(1,1) . x(3/2,1)^-1 . y . x(3/2,1)")) is None
+    assert nielsen_decompose(parse_word("x(0,1)^-1 . y . x(0,1)")) is None
+    assert nielsen_decompose(parse_word("x(0,1)^-1 . y . x(0,1)"), lo=0) \
+        == [(1, (F(1),))]
+    assert nielsen_decompose(parse_word("x(-1,1)^-1 . y . x(-1,1)"), lo=0) is None
+    assert nielsen_decompose(parse_word("x(1)^-1 . y . x(1)")) is None
+    assert nielsen_decompose(parse_word("x(1,2,3)^-1 . y . x(1,2,3)")) is None
+    # a y inside a conjugator
+    assert nielsen_decompose(
+        parse_word("x(2,1)^-1 . y . x(1,1)^-1 . y . x(1,1) . x(2,1)")) is None
+    assert nielsen_decompose(
+        parse_word("x(2,5)^-1 . x(1,3)^-1 . y . x(1,3) . y . x(2,5)")) is None
+
+
 def test_nielsen_decompose_junction_cancellation():
     # shared top coordinates cancel across the junction and must be recovered
     w = concat(encode_w((F(1), F(2))), invert(encode_w((F(5), F(2)))))
@@ -194,6 +249,16 @@ def test_decompose_roundtrip():
         got = nielsen_decompose(w)
         assert got is not None
         assert pattern_product(got) == w
+        # one x letter with a non-integer, a too-low or a missing register
+        # index makes the word no product of pattern words
+        xs = [p for p, (g, _) in enumerate(w.letters) if g.family == "x"]
+        if xs:
+            p = rng.choice(xs)
+            letters = list(w.letters)
+            (g, e), (i, s) = letters[p], letters[p][0].index
+            for index in ((i + F(1, 2), s), (F(0), s), (s,)):
+                letters[p] = (GenSym("x", index), e)
+                assert nielsen_decompose(Word.from_letters(letters)) is None
         done += 1
 
 
