@@ -22,11 +22,11 @@ from .presentations import (Certificate, presentation_from_json, verify_certific
                             wp_semidecide)
 from .programs import ALL_PROGRAMS
 from .rationals import format_vec, parse_vec
-from .reduction import build_W, check_reduction, l_reachability_check, w_membership
+from .reduction import build_W, check_reduction
 from .sample_groups import BUILTIN_PRESENTATIONS, ORACLES
-from .selftest import ALL_CHECKS, positive_sample, row_cases
+from .selftest import ALL_CHECKS, positive_sample, row_cases, row_holds
 from .slp import PathEnumerator
-from .words import encode_w, format_word, parse_word
+from .words import format_word, parse_word
 
 
 def _load_program(spec: str):
@@ -77,7 +77,7 @@ def _load_presentation_arg(spec: str):
 
 
 def _fuel(text: str) -> int:
-    """argparse type of every --fuel option: a natural number."""
+    """argparse type of every --fuel and count option: a natural number."""
     try:
         n = int(text)
     except ValueError:
@@ -185,9 +185,7 @@ def cmd_figure1(args) -> int:
         spec = build_W(op, 0, D)
         vec = positive_sample(spec, rng)
         done += 1
-        ok = (spec.w_pred.eval(vec) and w_membership(spec, encode_w(vec))
-              and l_reachability_check(spec, encode_w(vec)))
-        if not ok:
+        if not row_holds(spec, vec):
             bad += 1
     _emit([{"row": args.row, "samples": done, "failures": bad}], args.format)
     return 0 if bad == 0 else 1
@@ -233,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paths", help="enumerate straight-line halting paths")
     p.add_argument("program")
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--max-index", type=int, default=100_000)
+    p.add_argument("--count", type=_fuel, default=20)
+    p.add_argument("--max-index", type=_fuel, default=100_000)
     common(p)
     p.set_defaults(fn=cmd_paths)
 
@@ -266,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure1", help="operation-table coherence suite")
     p.add_argument("--row", required=True)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_fuel, default=100)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(fn=cmd_figure1)

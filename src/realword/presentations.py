@@ -6,8 +6,7 @@ fixed letter shape whose index entries are polynomial expressions in the
 schema parameters, together with a parameter constraint; instantiating it at
 any admissible parameter vector yields one relator word, and membership of a
 word in the instance set is decided by matching the shape and solving for
-the parameters.  Callback schemas (arbitrary word builders) are accepted for
-extensibility but are only semi-decidable and cannot be serialized.
+the parameters.
 
 Word triviality is searched as an explicit product of conjugated relator
 instances
@@ -28,9 +27,9 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .predicates import (Poly, Pred, TRUE, conj, const, eq,
                          shift_pred, solve_unknown, var)
@@ -43,10 +42,6 @@ from .words import (_ID_SYMS, EMPTY, GenSym, Word, _concat_ids, _reduce_ids,
 
 class ArityMismatch(ValueError):
     """Generator index arity exceeds the presentation dimension."""
-
-
-class SemiDecidableOnly(ValueError):
-    """Relator membership was queried on a merely enumerable schema set."""
 
 
 @dataclass(frozen=True)
@@ -65,9 +60,6 @@ class LetterTemplate:
     exp: int
     index: tuple[Poly, ...] = ()
 
-    def instantiate(self, params: Sequence[Fraction]) -> tuple[GenSym, int]:
-        return GenSym(self.family, tuple(e.eval(params) for e in self.index)), self.exp
-
     def instantiate_id(self, params: Sequence[Fraction]) -> int:
         gid = intern_parts(self.family, tuple(e.eval(params) for e in self.index))
         return gid if self.exp > 0 else -gid
@@ -80,7 +72,6 @@ class RelatorSchema:
     arity: int
     template: tuple[LetterTemplate, ...]
     constraint: Pred = TRUE
-    mode: str = "decidable"
     label: str = ""
 
     def admits(self, params: Sequence[Fraction]) -> bool:
@@ -149,31 +140,7 @@ class RelatorSchema:
     def inverse(self) -> "RelatorSchema":
         tpl = tuple(LetterTemplate(t.family, -t.exp, t.index)
                     for t in reversed(self.template))
-        return RelatorSchema(self.arity, tpl, self.constraint, self.mode,
-                             self.label + "^-1")
-
-
-@dataclass(frozen=True)
-class CallbackSchema:
-    """Relator family given by an arbitrary word builder; only enumerable."""
-
-    arity: int
-    builder: Callable[[RatVec], Word]
-    constraint_cb: Callable[[RatVec], bool] = lambda params: True
-    label: str = ""
-    mode: str = "enumerable"
-
-    def admits(self, params: Sequence[Fraction]) -> bool:
-        return len(params) == self.arity and self.constraint_cb(tuple(params))
-
-    def instantiate(self, params: Sequence[Fraction], check: bool = True) -> Word:
-        params = tuple(Fraction(x) for x in params)
-        if check and not self.admits(params):
-            raise ValueError(f"parameters {params} violate the schema constraint")
-        return self.builder(params)
-
-    def match(self, w: Word) -> Optional[RatVec]:
-        raise SemiDecidableOnly(f"schema {self.label!r} is enumerable only")
+        return RelatorSchema(self.arity, tpl, self.constraint, self.label + "^-1")
 
 
 @dataclass(frozen=True)
@@ -181,16 +148,12 @@ class Presentation:
     label: str
     dim: int
     generators: tuple[GenClause, ...]
-    relators: tuple = ()
+    relators: tuple[RelatorSchema, ...] = ()
 
     def __post_init__(self):
         for c in self.generators:
             if c.arity > self.dim:
                 raise ValueError(f"clause arity {c.arity} exceeds dim {self.dim}")
-
-    @property
-    def decidable(self) -> bool:
-        return all(s.mode == "decidable" for s in self.relators)
 
 
 def check_generator(p: Presentation, g: GenSym) -> bool:
@@ -207,11 +170,6 @@ def check_word(p: Presentation, w: Word) -> bool:
 
 def check_relator(p: Presentation, w: Word) -> bool:
     """Is w an instance of some relator schema of p (first match wins)?"""
-    bad = [s for s in p.relators if s.mode != "decidable"]
-    if bad:
-        raise SemiDecidableOnly(
-            f"presentation {p.label!r} has enumerable schemas "
-            f"({', '.join(s.label or '?' for s in bad)})")
     return any(s.match(w) is not None for s in p.relators)
 
 
@@ -322,25 +280,16 @@ def _retag_clause(c: GenClause, tag: int) -> GenClause:
                      conj(c.pred, eq(var(c.arity), const(tag))))
 
 
-def _retag_schema(s, tag: int):
-    if isinstance(s, RelatorSchema):
-        tpl = tuple(LetterTemplate(t.family, t.exp, t.index + (const(tag),))
-                    for t in s.template)
-        return RelatorSchema(s.arity, tpl, s.constraint, s.mode, s.label)
-    def build(params, _s=s, _tag=tag):
-        w = _s.instantiate(params, check=False)
-        return Word.from_letters(
-            (GenSym(g.family, g.index + (Fraction(_tag),)), e) for g, e in w.letters)
-    return CallbackSchema(s.arity, build, s.admits, s.label, "enumerable")
+def _retag(tpl: Sequence[LetterTemplate], tag: int) -> tuple[LetterTemplate, ...]:
+    return tuple(LetterTemplate(t.family, t.exp, t.index + (const(tag),)) for t in tpl)
 
 
 def free_product(p1: Presentation, p2: Presentation,
                  label: str = "") -> Presentation:
     """Disjointly tagged union: factor generators get a final index 1 or 2."""
-    gens = tuple(_retag_clause(c, 1) for c in p1.generators) + \
-        tuple(_retag_clause(c, 2) for c in p2.generators)
-    rels = tuple(_retag_schema(s, 1) for s in p1.relators) + \
-        tuple(_retag_schema(s, 2) for s in p2.relators)
+    gens = tuple(_retag_clause(c, k) for k, p in ((1, p1), (2, p2)) for c in p.generators)
+    rels = tuple(RelatorSchema(s.arity, _retag(s.template, k), s.constraint, s.label)
+                 for k, p in ((1, p1), (2, p2)) for s in p.relators)
     return Presentation(label or f"{p1.label}*{p2.label}",
                         max(p1.dim, p2.dim) + 1, gens, rels)
 
@@ -357,45 +306,23 @@ class WordFamily:
 def amalgamate(p1: Presentation, p2: Presentation,
                a_family: Optional[WordFamily],
                image: Optional[tuple[LetterTemplate, ...]] = None,
-               forward=None,
                label: str = "") -> Presentation:
     """Free product of p1 and p2 with the identification image(v) = v.
 
     `a_family` describes the identified subgroup generators v inside p1 (over
-    shared parameters); their images inside p2 come either as letter
-    templates over the same parameters (decidable result) or as a word map
-    (enumerable result).  With no family at all this is the plain free
-    product.
+    shared parameters); their images inside p2 are letter templates over the
+    same parameters.  With no family at all this is the plain free product.
     """
     base = free_product(p1, p2, label=label)
     if a_family is None:
         return base
-    fam_tagged = tuple(LetterTemplate(t.family, t.exp, t.index + (const(1),))
-                       for t in a_family.letters)
-    if image is not None:
-        img_tagged = tuple(LetterTemplate(t.family, t.exp, t.index + (const(2),))
-                           for t in image)
-        inv_fam = tuple(LetterTemplate(t.family, -t.exp, t.index)
-                        for t in reversed(fam_tagged))
-        schema = RelatorSchema(a_family.arity, img_tagged + inv_fam,
-                               a_family.constraint, "decidable", "amalgam")
-    else:
-        if forward is None:
-            raise ValueError("amalgamate needs either letter templates or a word map")
-
-        def build(params):
-            v = Word.from_letters(t.instantiate(params) for t in a_family.letters)
-            img = forward(v)
-            v2 = Word.from_letters(
-                (GenSym(g.family, g.index + (Fraction(1),)), e) for g, e in v.letters)
-            img2 = Word.from_letters(
-                (GenSym(g.family, g.index + (Fraction(2),)), e) for g, e in img.letters)
-            return concat(img2, invert(v2))
-
-        schema = CallbackSchema(a_family.arity, build,
-                                lambda ps: a_family.constraint.eval(ps), "amalgam")
-    return Presentation(base.label, base.dim, base.generators,
-                        base.relators + (schema,))
+    if image is None:
+        raise ValueError("amalgamate needs the image letter templates of its family")
+    inv_fam = tuple(LetterTemplate(t.family, -t.exp, t.index)
+                    for t in reversed(_retag(a_family.letters, 1)))
+    schema = RelatorSchema(a_family.arity, _retag(image, 2) + inv_fam,
+                           a_family.constraint, "amalgam")
+    return replace(base, relators=base.relators + (schema,))
 
 
 @dataclass(frozen=True)
@@ -447,7 +374,7 @@ def hnn_extend(p: Presentation, stable: StableSpec,
         # stable.pred already lives on variables 0..arity-1 of the combined vector
         constraint = conj(stable.pred, rule.guard, base_pred)
         new_rels.append(RelatorSchema(sa + rule.arity, tpl, constraint,
-                                      "decidable", f"hnn-{rule.family}"))
+                                      f"hnn-{rule.family}"))
     return Presentation(label or f"{p.label};{stable.family}",
                         max(p.dim, stable.arity), gens,
                         p.relators + tuple(new_rels))
@@ -530,9 +457,9 @@ class _Shapes(dict):
 
 class _Heads(dict):
     """Signed generator id -> the (schema index, schema, template shapes)
-    triples, in schema order, of the decidable schemas whose first template
-    letter has that letter's shape; a schema can match only at a letter of
-    that shape.  Entries and `shapes` are kept for the rest of one search.
+    triples, in schema order, of the schemas whose first template letter has
+    that letter's shape; a schema can match only at a letter of that shape.
+    Entries and `shapes` are kept for the rest of one search.
     """
 
     def __init__(self, p: Presentation):
@@ -540,7 +467,7 @@ class _Heads(dict):
         self.shapes = _Shapes()
         self.by_shape: dict[tuple[str, int, int], list] = {}
         for si, s in enumerate(p.relators):
-            if s.mode == "decidable" and s.template:
+            if s.template:
                 tshapes = tuple((t.family, t.exp, len(t.index)) for t in s.template)
                 self.by_shape.setdefault(tshapes[0], []).append((si, s, tshapes))
 
@@ -694,25 +621,18 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
 # -- JSON serialization ------------------------------------------------------------
 
 def presentation_to_json(p: Presentation) -> dict:
-    rels = []
-    for s in p.relators:
-        if not isinstance(s, RelatorSchema):
-            raise ValueError(f"schema {s.label!r} is callback-based and cannot be serialized")
-        rels.append({
-            "arity": s.arity,
-            "mode": s.mode,
-            "label": s.label,
-            "letters": [{"family": t.family, "exp": t.exp,
-                         "index": [e.to_json() for e in t.index]}
-                        for t in s.template],
-            "constraint": s.constraint.to_json(),
-        })
     return {
         "label": p.label,
         "dim": p.dim,
         "generators": [{"family": c.family, "arity": c.arity,
                         "pred": c.pred.to_json()} for c in p.generators],
-        "relators": rels,
+        "relators": [{"arity": s.arity,
+                      "label": s.label,
+                      "letters": [{"family": t.family, "exp": t.exp,
+                                   "index": [e.to_json() for e in t.index]}
+                                  for t in s.template],
+                      "constraint": s.constraint.to_json()}
+                     for s in p.relators],
     }
 
 
@@ -763,11 +683,11 @@ def presentation_from_json(data) -> Presentation:
             index = _field(t, "index", list, what)
             tpl.append(LetterTemplate(_field(t, "family", str, what), exp,
                                       tuple(Poly.from_json(e) for e in index)))
-        mode = _field(r, "mode", str, what, "decidable")
-        if mode not in ("decidable", "enumerable"):
-            raise ValueError(f"{what}: unknown mode {quote(mode)}")
+        # older files carry a "mode", which was always "decidable"
+        if _field(r, "mode", str, what, "decidable") != "decidable":
+            raise ValueError(f"{what}: unknown mode {quote(r['mode'])}")
         s = RelatorSchema(_nat_field(r, "arity", what), tuple(tpl),
-                          Pred.from_json(r["constraint"]), mode, r.get("label", ""))
+                          Pred.from_json(r["constraint"]), r.get("label", ""))
         used = s.constraint.vars().union(*(e.vars() for t in tpl for e in t.index))
         _check_vars(used, s.arity, what)
         rels.append(s)

@@ -502,6 +502,14 @@ def positive_sample(spec, rng: random.Random):
     return tuple(vec)
 
 
+def row_holds(spec, vec) -> bool:
+    """Does vec satisfy the row relation, reach W and reach L, all three?"""
+    if not spec.w_pred.eval(vec):
+        return False
+    w = encode_w(vec)
+    return w_membership(spec, w) and l_reachability_check(spec, w)
+
+
 def _violate(spec, vec, rng: random.Random):
     vec = list(vec)
     op, row = spec.op, spec.row
@@ -529,9 +537,7 @@ def check_table_coherence(seed: int) -> CheckResult:
                 vec = positive_sample(spec, rng)
                 checked += 1
                 pos += 1
-                if not (spec.w_pred.eval(vec)
-                        and w_membership(spec, encode_w(vec))
-                        and l_reachability_check(spec, encode_w(vec))):
+                if not row_holds(spec, vec):
                     bad += 1
             if neg < 20:
                 vec2 = _violate(spec, positive_sample(spec, rng), rng)

@@ -149,6 +149,18 @@ def test_negative_fuel_is_a_usage_error(argv, capsys):
     assert "--fuel: must be at least 0" in captured.err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["paths", "sign", "--count", "-3"], "--count"),
+    (["paths", "sign", "--max-index", "-1"], "--max-index"),
+    (["figure1", "--row", "add", "--samples", "-2"], "--samples"),
+])
+def test_negative_count_is_a_usage_error(argv, option, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{option}: must be at least 0" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "sign", "--input", "-1,2", "--fuel", "50"],
     ["reduce", "sign", "--input", "-2/3", "--fuel", "300"],
@@ -239,12 +251,12 @@ def _deep_neg(depth):
     return ('{"op": "neg", "args": [' * depth + json.dumps(V0) + "]}" * depth)
 
 
-def _relator_text(index_json, exp=1):
+def _relator_text(index_json, exp=1, **extra):
     data = {"label": "p", "dim": 1,
             "generators": [{"family": "x", "arity": 1, "pred": {"op": "true"}}],
             "relators": [{"arity": 1, "label": "r", "constraint": {"op": "true"},
                           "letters": [{"family": "x", "exp": exp, "index": ["@"]},
-                                      _x(V0, -1)]}]}
+                                      _x(V0, -1)], **extra}]}
     return json.dumps(data).replace('"@"', index_json)
 
 
@@ -262,8 +274,12 @@ def _relator_text(index_json, exp=1):
      "relator 0 ('r'): letter exponent must be 1 or -1, got 2"),
     (_relator_text(json.dumps({"op": [], "i": 0})), "unknown polynomial op []"),
     (_relator_text(json.dumps({"op": "var", "i": []})), "var index must be an integer"),
+    # "decidable" is the only mode an older file can name
+    (_relator_text(json.dumps(V0), mode="enumerable"),
+     "relator 0 ('r'): unknown mode 'enumerable'"),
+    (_relator_text(json.dumps(V0), mode=1), "relator 0 ('r') needs 'mode' as a string"),
 ], ids=["list", "dim-string", "args-int", "deep-neg", "negative-pow", "pow-over-cap",
-        "exp-2", "op-list", "var-index-list"])
+        "exp-2", "op-list", "var-index-list", "mode-enumerable", "mode-int"])
 def test_malformed_presentation_is_a_usage_error(text, message, tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(text)

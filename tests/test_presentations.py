@@ -11,9 +11,8 @@ from realword import presentations
 from realword.predicates import TRUE, eq, is_nat, ne, var
 from realword.presentations import (ActionRule, ArityMismatch, CertEntry,
                                     Certificate, GenClause, LetterTemplate,
-                                    Presentation, RelatorSchema,
-                                    SemiDecidableOnly,
-                                    StableSpec, WordFamily, amalgamate,
+                                    Presentation, RelatorSchema, StableSpec,
+                                    WordFamily, amalgamate,
                                     check_generator, check_relator,
                                     enumerate_conjugators, enumerate_relators,
                                     free_product, hnn_extend,
@@ -73,15 +72,6 @@ def test_empty_arity_zero_schema_matches_the_empty_word():
     assert p.relators[0].match(EMPTY) == ()
     assert check_relator(p, EMPTY)
     assert not check_relator(p, parse_word("y"))
-
-
-def test_check_relator_semidecidable_only():
-    k = free_pres(1, "k")
-    l = free_pres(1, "l")
-    fam = WordFamily(1, (LetterTemplate("x", 1, (var(0),)),))
-    amal = amalgamate(k, l, fam, forward=lambda w: w)
-    with pytest.raises(SemiDecidableOnly):
-        check_relator(amal, parse_word("x(1,2)"))
 
 
 def test_enumerate_relators():
@@ -144,6 +134,8 @@ def test_amalgamate_toy():
     assert check_relator(amal, inst)
     cert = wp_semidecide(amal, inst, 1000)
     assert cert is not None and verify_certificate(amal, inst, cert)
+    with pytest.raises(ValueError):
+        amalgamate(p1, p2, fam)  # a family needs its image templates
 
 
 def test_hnn_free_stable_letter():
@@ -226,9 +218,8 @@ def _goal_moves_unmemoised(p: Presentation, u: Word) -> list[tuple[CertEntry, Wo
     ids = u.ids
     letters = u.letters
     n = len(letters)
-    schemas = [(si, s) for si, s in enumerate(p.relators) if s.mode == "decidable"]
     for i in range(n):
-        for si, schema in schemas:
+        for si, schema in enumerate(p.relators):
             for L, params in schema.match_prefix(letters, i) or ():
                 tail = tuple(t.instantiate_id(params) for t in schema.template[L:])
                 u1 = concat(Word(ids[:i]), invert(Word(tail)), Word(ids[i + L:]))
@@ -287,11 +278,10 @@ def test_match_prefix_reads_nothing_past_the_first_shape_mismatch(monkeypatch):
         expanded.clear()
         for w in _corpus_refuted(name, rng, 3):
             assert wp_semidecide(p, w, 1500) is None
-        schemas = [s for s in p.relators if s.mode == "decidable"]
         for u in dict.fromkeys(expanded):
             letters = u.letters
             for i in range(len(letters) + 1):
-                for schema in schemas:
+                for schema in p.relators:
                     tpl = schema.template
                     end = min(len(tpl), len(letters) - i)
                     m = 0
@@ -361,16 +351,15 @@ def test_stream_memo_equals_fresh_enumeration():
 
 
 def test_blind_proof_returns_at_once():
-    # callback schemas only: no head table, so every move is blind, and the
-    # word is conjugator 1 times relator 3 times its inverse
-    fam = WordFamily(1, (LetterTemplate("x", 1, (var(0),)),))
-    amal = amalgamate(free_pres(1, "k"), free_pres(1, "l"), fam, forward=lambda w: w)
-    w = parse_word("x(0,1) . x(1/2,2) . x(1/2,1)^-1 . x(0,1)^-1")
-    cert = wp_semidecide(amal, w, 1218)
-    assert cert.to_json() == [{"conjugator": "x(0,1)", "relator": "x(1/2,2) . x(1/2,1)^-1",
-                               "schema": 0, "params": ["1/2"]}]
-    assert verify_certificate(amal, w, cert)
-    assert wp_semidecide(amal, w, 1217) is None
+    # no schema matches a prefix of x(0), so the first pop is blind move 0:
+    # the empty conjugator with relator 0, which freely reduces to x(0)
+    p = BUILTIN_PRESENTATIONS["rationals-a"]()
+    w = parse_word("x(0)")
+    cert = wp_semidecide(p, w, 1)
+    assert cert.to_json() == [{"conjugator": "1", "relator": "x(0) . x(0) . x(0)^-1",
+                               "schema": 0, "params": ["0", "0"]}]
+    assert verify_certificate(p, w, cert)
+    assert wp_semidecide(p, w, 0) is None
 
 def test_verify_rejects_corruption():
     tor = torus_presentation()
@@ -397,11 +386,18 @@ def test_presentation_json_roundtrip(tmp_path):
         p = mk()
         back = presentation_from_json(json.loads(json.dumps(presentation_to_json(p))))
         assert back == p
-    fam = WordFamily(1, (LetterTemplate("x", 1, (var(0),)),))
-    amal = amalgamate(free_pres(1, "k"), free_pres(1, "l"), fam,
-                      forward=lambda w: w)
-    with pytest.raises(ValueError):
-        presentation_to_json(amal)  # callback schemas cannot be serialized
+
+
+def test_presentation_json_mode_is_read_not_written():
+    from realword.reduction import extension_presentation
+    for p in [mk() for mk in BUILTIN_PRESENTATIONS.values()] + [extension_presentation()]:
+        data = presentation_to_json(p)
+        assert all("mode" not in r for r in data["relators"]), p.label
+        assert presentation_from_json(json.loads(json.dumps(data))) == p
+        # files that still name the only mode load unchanged
+        for r in data["relators"]:
+            r["mode"] = "decidable"
+        assert presentation_from_json(data) == p
 
 
 def test_dimension_bound_under_constructions():
