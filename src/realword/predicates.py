@@ -27,6 +27,9 @@ class Poly:
     args: tuple["Poly", ...] = ()
     value: Optional[Fraction] = None
     k: int = 0  # var index, or pow exponent
+    # the node's variable set, kept by its first `vars()` call; not a field,
+    # so equality, hash, repr and `to_json` never see it
+    _vars = None
 
     def __add__(self, other):
         return Poly("add", (self, _poly(other)))
@@ -73,14 +76,12 @@ class Poly:
         raise ValueError(f"bad poly op {op!r}")
 
     def vars(self) -> frozenset[int]:
-        if self.op == "var":
-            return frozenset((self.k,))
-        if self.op == "const":
-            return frozenset()
-        out: frozenset[int] = frozenset()
-        for a in self.args:
-            out |= a.vars()
-        return out
+        got = self._vars
+        if got is None:
+            got = (frozenset((self.k,)) if self.op == "var"
+                   else frozenset().union(*(a.vars() for a in self.args)))
+            object.__setattr__(self, "_vars", got)
+        return got
 
     def to_json(self):
         if self.op == "const":
@@ -93,24 +94,48 @@ class Poly:
         return node
 
     @staticmethod
-    def from_json(node) -> "Poly":
-        op = _json_op(node, "polynomial")
+    def from_json(node, used: Optional[list] = None,
+                  leaves: Optional[dict] = None) -> "Poly":
+        """The polynomial `to_json` wrote; malformed data raises ValueError.
+
+        Every variable index met is appended to `used`.  `leaves` shares
+        the var and const leaves of one parse: a var is keyed by its index,
+        a const by its text.
+        """
+        if used is None:
+            used = []
+        if leaves is None:
+            leaves = {}
+        if type(node) is not dict:
+            raise ValueError(f"polynomial node must be an object, got {type(node).__name__}")
+        op = node["op"]
         if op == "const":
             value = node["value"]
             if type(value) is not str:
                 raise ValueError(f"const value must be a string, got {quote(value)}")
-            return const(parse_rat(value))
+            got = leaves.get(value)
+            if got is None:
+                got = leaves[value] = const(parse_rat(value))
+            return got
         if op == "var":
             i = node["i"]
             if type(i) is not int:
                 raise ValueError(f"var index must be an integer, got {quote(i)}")
-            return var(i)
+            used.append(i)
+            got = leaves.get(i)
+            if got is None:
+                got = leaves[i] = var(i)
+            return got
         if type(op) is not str or op not in _POLY_ARITY:  # a list op is unhashable
             raise ValueError(f"unknown polynomial op {quote(op)}")
         k = node.get("k", 0)
         if op == "pow" and not (type(k) is int and k >= 0):
             raise ValueError(f"pow exponent must be a natural number, got {quote(k)}")
-        args = tuple(Poly.from_json(a) for a in _json_args(node, _POLY_ARITY[op]))
+        args = node["args"]
+        count = _POLY_ARITY[op]
+        if type(args) is not list or len(args) != count:
+            raise ValueError(f"{quote(op)} node needs a list of {count} args")
+        args = tuple([Poly.from_json(a, used, leaves) for a in args])
         if op == "pow" and k * (inner := _pow_product(args[0])) > MAX_POW_EXPONENT:
             raise ValueError(f"pow exponent {quote(k)} exceeds {MAX_POW_EXPONENT // inner} "
                              f"(nested pow exponents multiply to at most {MAX_POW_EXPONENT})")
@@ -128,20 +153,6 @@ def _pow_product(p: Poly) -> int:
     """Largest product of the exponents along a chain of nested pow nodes."""
     inner = max((_pow_product(a) for a in p.args), default=1)
     return inner * max(p.k, 1) if p.op == "pow" else inner
-
-
-def _json_op(node, what: str) -> str:
-    if type(node) is not dict:
-        raise ValueError(f"{what} node must be an object, got {type(node).__name__}")
-    return node["op"]
-
-
-def _json_args(node: dict, count: Optional[int] = None) -> list:
-    args = node["args"]
-    if type(args) is not list or count is not None and len(args) != count:
-        raise ValueError(f"{quote(node['op'])} node needs a list of "
-                         + (f"{count} args" if count is not None else "args"))
-    return args
 
 
 def const(c) -> Poly:
@@ -229,6 +240,7 @@ class Pred:
     rel: str = ""  # for cmp: = | != | >= | >
     lhs: Optional[Poly] = None
     rhs: Optional[Poly] = None
+    _vars = None  # as on Poly
 
     def eval(self, env: Sequence[Fraction]) -> bool:
         op = self.op
@@ -262,14 +274,12 @@ class Pred:
         raise ValueError(f"bad predicate op {op!r}")
 
     def vars(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for a in self.args:
-            out |= a.vars()
-        if self.lhs is not None:
-            out |= self.lhs.vars()
-        if self.rhs is not None:
-            out |= self.rhs.vars()
-        return out
+        got = self._vars
+        if got is None:
+            sides = [e.vars() for e in (self.lhs, self.rhs) if e is not None]
+            got = frozenset().union(*(a.vars() for a in self.args), *sides)
+            object.__setattr__(self, "_vars", got)
+        return got
 
     def to_json(self):
         if self.op in ("true", "false"):
@@ -282,22 +292,34 @@ class Pred:
         return {"op": self.op, "args": [a.to_json() for a in self.args]}
 
     @staticmethod
-    def from_json(node) -> "Pred":
-        op = _json_op(node, "predicate")
+    def from_json(node, used: Optional[list] = None,
+                  leaves: Optional[dict] = None) -> "Pred":
+        """The predicate `to_json` wrote; `used` and `leaves` as in
+        `Poly.from_json`."""
+        if used is None:
+            used = []
+        if leaves is None:
+            leaves = {}
+        if type(node) is not dict:
+            raise ValueError(f"predicate node must be an object, got {type(node).__name__}")
+        op = node["op"]
         if op in ("true", "false"):
             return TRUE if op == "true" else FALSE
         if op == "cmp":
-            if node["rel"] not in ("=", "!=", ">=", ">"):
-                raise ValueError(f"unknown comparison {quote(node['rel'])}")
-            return Pred("cmp", rel=node["rel"],
-                        lhs=Poly.from_json(node["lhs"]),
-                        rhs=Poly.from_json(node["rhs"]))
+            rel = node["rel"]
+            if rel not in ("=", "!=", ">=", ">"):
+                raise ValueError(f"unknown comparison {quote(rel)}")
+            return Pred("cmp", rel=rel, lhs=Poly.from_json(node["lhs"], used, leaves),
+                        rhs=Poly.from_json(node["rhs"], used, leaves))
         if op in ("isint", "isnat"):
-            return Pred(op, lhs=Poly.from_json(node["arg"]))
+            return Pred(op, lhs=Poly.from_json(node["arg"], used, leaves))
         if op not in ("and", "or", "not"):
             raise ValueError(f"unknown predicate op {quote(op)}")
-        args = _json_args(node, 1 if op == "not" else None)
-        return Pred(op, tuple(Pred.from_json(a) for a in args))
+        args = node["args"]
+        if type(args) is not list or op == "not" and len(args) != 1:
+            raise ValueError(f"{quote(op)} node needs a list of "
+                             + ("1 args" if op == "not" else "args"))
+        return Pred(op, tuple([Pred.from_json(a, used, leaves) for a in args]))
 
 
 TRUE = Pred("true")

@@ -26,7 +26,6 @@ golden-filed.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -109,16 +108,19 @@ class RelatorSchema:
                 while progress and len(known) < self.arity:
                     progress = False
                     for expr, val in seen:
-                        missing = [v for v in expr.vars() if v not in known]
-                        if len(missing) == 1:
-                            got = ((expr.k, val) if expr.op == "var"
-                                   else solve_unknown(expr, val, known))
+                        if expr.op == "var":  # a bare variable binds directly
+                            if expr.k not in known:
+                                known[expr.k] = val
+                                progress = True
+                        elif len(expr.vars() - known.keys()) == 1:
+                            got = solve_unknown(expr, val, known)
                             if got is not None:
                                 known[got[0]] = got[1]
                                 progress = True
                 if len(known) < self.arity:
                     continue
-                params = tuple(known.get(i, Fraction(0)) for i in range(self.arity))
+                params = tuple([known[i] if i in known else Fraction(0)
+                                for i in range(self.arity)])
                 if not (all(expr.eval(params) == val for expr, val in seen)
                         and self.constraint.eval(params)):
                     return None
@@ -636,10 +638,13 @@ def presentation_to_json(p: Presentation) -> dict:
     }
 
 
-def _check_vars(used: frozenset, arity: int, what: str):
-    bad = sorted((v for v in used if not (type(v) is int and 0 <= v < arity)), key=repr)
+def _check_vars(used: list, arity: int, what: str):
+    """Every variable index in `used` is below `arity`; the error names the
+    smallest offender by repr."""
+    bad = [v for v in used if not 0 <= v < arity]
     if bad:
-        raise ValueError(f"{what} uses variable {quote(bad[0])} but has arity {arity}")
+        raise ValueError(f"{what} uses variable {quote(min(bad, key=repr))} "
+                         f"but has arity {arity}")
 
 
 _JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
@@ -663,17 +668,25 @@ def _nat_field(obj, key: str, what: str) -> int:
 
 
 def presentation_from_json(data) -> Presentation:
-    """Inverse of `presentation_to_json`; malformed data raises ValueError."""
+    """Inverse of `presentation_to_json`; malformed data raises ValueError.
+
+    One walk builds and validates: each clause and schema collects the
+    variable indices its nodes use, and equal var and const leaves are
+    shared within the call.
+    """
+    leaves: dict = {}
     gens = []
     for k, g in enumerate(_field(data, "generators", list, "presentation")):
         what = f"generator clause {k}"
+        used: list = []
         c = GenClause(_field(g, "family", str, what), _nat_field(g, "arity", what),
-                      Pred.from_json(g["pred"]))
-        _check_vars(c.pred.vars(), c.arity, f"{what} ({quote(c.family)})")
+                      Pred.from_json(g["pred"], used, leaves))
+        _check_vars(used, c.arity, f"{what} ({quote(c.family)})")
         gens.append(c)
     rels = []
     for k, r in enumerate(_field(data, "relators", list, "presentation")):
         what = f"relator {k} ({quote(_field(r, 'label', str, f'relator {k}', ''))})"
+        used = []
         tpl = []
         for t in _field(r, "letters", list, what):
             exp = _field(t, "exp", int, what)
@@ -682,19 +695,13 @@ def presentation_from_json(data) -> Presentation:
                                  f"got {quote(exp)}")
             index = _field(t, "index", list, what)
             tpl.append(LetterTemplate(_field(t, "family", str, what), exp,
-                                      tuple(Poly.from_json(e) for e in index)))
+                                      tuple([Poly.from_json(e, used, leaves) for e in index])))
         # older files carry a "mode", which was always "decidable"
         if _field(r, "mode", str, what, "decidable") != "decidable":
             raise ValueError(f"{what}: unknown mode {quote(r['mode'])}")
         s = RelatorSchema(_nat_field(r, "arity", what), tuple(tpl),
-                          Pred.from_json(r["constraint"]), r.get("label", ""))
-        used = s.constraint.vars().union(*(e.vars() for t in tpl for e in t.index))
+                          Pred.from_json(r["constraint"], used, leaves), r.get("label", ""))
         _check_vars(used, s.arity, what)
         rels.append(s)
     return Presentation(_field(data, "label", str, "presentation"),
                         _nat_field(data, "dim", "presentation"), tuple(gens), tuple(rels))
-
-
-def save_presentation(p: Presentation, path: str):
-    with open(path, "w") as fh:
-        json.dump(presentation_to_json(p), fh, indent=2)

@@ -204,6 +204,26 @@ def _letter_texts(s: str) -> list[str]:
     return [".".join(parts) for parts in texts]
 
 
+def _letter_id(tok: str, chunk: str) -> int:
+    """Generator id of a letter text without its exponent, such as `x(1,5)`.
+
+    A symbol is built only for a generator not interned before; an unknown
+    family is never interned, so it always reaches GenSym's check.
+    """
+    if "(" in tok:
+        fam, _, rest = tok.partition("(")
+        if not rest.endswith(")"):
+            raise ValueError(f"unclosed index in {quote(chunk)}")
+        body = rest[:-1].strip()
+        try:
+            idx = tuple([parse_rat(p) for p in body.split(",")]) if body else ()
+        except ValueError as exc:
+            raise ValueError(f"bad index in {quote(chunk.strip())}: {exc}") from None
+    else:
+        fam, idx = tok, ()
+    return intern_parts(fam.strip(), idx)
+
+
 def parse_word(text: str) -> Word:
     """Parse dot-separated letters; `^k` repeats (only ^-1 is ever printed).
 
@@ -212,7 +232,8 @@ def parse_word(text: str) -> Word:
     s = text.strip()
     if s in ("", "1"):
         return EMPTY
-    letters = []
+    ids: list[int] = []
+    known: dict[str, int] = {}  # letter text -> generator id, for this call
     for chunk in _letter_texts(s):
         tok = chunk.strip()
         exp = 1
@@ -228,20 +249,11 @@ def parse_word(text: str) -> Word:
             if abs(exp) > MAX_EXPONENT:
                 raise ValueError(f"exponent {exp} in {quote(chunk)} exceeds "
                                  f"{MAX_EXPONENT} in absolute value")
-        if "(" in tok:
-            fam, _, rest = tok.partition("(")
-            if not rest.endswith(")"):
-                raise ValueError(f"unclosed index in {quote(chunk)}")
-            body = rest[:-1].strip()
-            try:
-                idx = tuple(parse_rat(p) for p in body.split(",")) if body else ()
-            except ValueError as exc:
-                raise ValueError(f"bad index in {quote(chunk.strip())}: {exc}") from None
-        else:
-            fam, idx = tok, ()
-        sign = 1 if exp > 0 else -1
-        letters.extend([(GenSym(fam.strip(), idx), sign)] * abs(exp))
-    return Word.from_letters(letters)
+        gid = known.get(tok)
+        if gid is None:
+            gid = known[tok] = _letter_id(tok, chunk)
+        ids.extend([gid if exp > 0 else -gid] * abs(exp))
+    return Word(tuple(ids))
 
 
 # -- span membership ----------------------------------------------------------

@@ -112,10 +112,11 @@ def test_usage_errors(capsys):
 
 
 def test_wp_accepts_presentation_file(tmp_path, capsys):
-    from realword.presentations import save_presentation
+    from realword.presentations import presentation_to_json
     from realword.sample_groups import torus_presentation
     pres = tmp_path / "torus.json"
-    save_presentation(torus_presentation(), str(pres))
+    with open(pres, "w") as fh:
+        json.dump(presentation_to_json(torus_presentation()), fh, indent=2)
     cert = tmp_path / "c.json"
     assert main(["wp", str(pres), "--word", "x(1/4) . x(3/4) . x(1)^-1",
                  "--fuel", "20000", "--cert-out", str(cert)]) == 0

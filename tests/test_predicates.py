@@ -1,9 +1,14 @@
+import dataclasses
 import gc
+import json
 from fractions import Fraction as F
 
 import pytest
 
+from realword.presentations import presentation_from_json, presentation_to_json
 from realword.rationals import QUOTE_LIMIT
+from realword.reduction import extension_presentation
+from realword.sample_groups import BUILTIN_PRESENTATIONS, circle_presentation
 from realword.predicates import (FALSE, MAX_POW_EXPONENT, TRUE, Poly, Pred,
                                  conj, const, disj, eq, ge, gt, is_int,
                                  is_nat, le, lt, ne,
@@ -131,3 +136,71 @@ def test_eval_total():
     for a in (F(-2), F(0), F(1, 3)):
         for b in (F(-1), F(7, 5)):
             assert q.eval((a, b)) in (True, False)
+
+
+# -- the variable-set memo is invisible --------------------------------------
+
+def _nodes(p):
+    """Every Poly and Pred node of a presentation, children after parents."""
+    stack = [c.pred for c in p.generators]
+    for s in p.relators:
+        stack.append(s.constraint)
+        stack.extend(e for t in s.template for e in t.index)
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(n.args)
+        stack.extend(x for x in (getattr(n, "lhs", None), getattr(n, "rhs", None))
+                     if x is not None)
+
+
+def _reference_vars(n) -> set:
+    if isinstance(n, Poly) and n.op == "var":
+        return {n.k}
+    out = set()
+    for child in n.args + ((n.lhs, n.rhs) if isinstance(n, Pred) else ()):
+        if child is not None:
+            out |= _reference_vars(child)
+    return out
+
+
+def _presentations():
+    for p in [mk() for mk in BUILTIN_PRESENTATIONS.values()] + [extension_presentation()]:
+        parsed = presentation_from_json(json.loads(json.dumps(presentation_to_json(p))))
+        assert parsed == p and hash(parsed) == hash(p)
+        yield p.label, p
+        yield p.label + " (parsed)", parsed
+
+
+PRESENTATIONS = list(_presentations())
+
+
+@pytest.mark.parametrize("label, p", PRESENTATIONS, ids=[label for label, _ in PRESENTATIONS])
+def test_vars_memo_is_invisible(label, p):
+    before = presentation_to_json(p)
+    seen = 0
+    for n in _nodes(p):
+        # an equal node built afresh has an empty memo
+        twin = dataclasses.replace(n)
+        assert twin._vars is None
+        assert n.vars() == _reference_vars(n)
+        assert n._vars is not None and twin._vars is None
+        assert n == twin and twin == n and hash(n) == hash(twin)
+        assert repr(n) == repr(twin) and n.to_json() == twin.to_json()
+        assert twin.vars() == n.vars()
+        seen += 1
+    assert seen > 0
+    # with every memo filled the presentation still serializes the same
+    assert presentation_to_json(p) == before
+    assert presentation_from_json(before) == p
+
+
+def test_parse_shares_leaves_within_one_call_only():
+    data = presentation_to_json(circle_presentation())
+    first, second = presentation_from_json(data), presentation_from_json(data)
+    leaves = [[e for t in p.relators[0].template for e in t.index] for p in (first, second)]
+    # same-ray reads x(v0,v1) . x(v2,v3)^-1; each index entry is a var leaf
+    assert [e.k for e in leaves[0]] == [0, 1, 2, 3]
+    assert all(a == b and a is not b for a, b in zip(*leaves))
+    v0 = leaves[0][0]
+    assert sum(n is v0 for n in _nodes(first)) > 1
