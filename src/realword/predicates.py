@@ -128,8 +128,10 @@ class Poly:
             return got
         if type(op) is not str or op not in _POLY_ARITY:  # a list op is unhashable
             raise ValueError(f"unknown polynomial op {quote(op)}")
-        k = node.get("k", 0)
-        if op == "pow" and not (type(k) is int and k >= 0):
+        # only a pow node carries "k", as `to_json` writes it; elsewhere it is
+        # an extra key like any other
+        k = node.get("k", 0) if op == "pow" else 0
+        if not (type(k) is int and k >= 0):
             raise ValueError(f"pow exponent must be a natural number, got {quote(k)}")
         args = node["args"]
         count = _POLY_ARITY[op]

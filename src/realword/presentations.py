@@ -26,7 +26,7 @@ golden-filed.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -34,9 +34,9 @@ from .predicates import (Poly, Pred, TRUE, conj, const, eq,
                          shift_pred, solve_unknown, var)
 from .rationals import (RatVec, _nat_tuple, enumerate_vectors, format_rat,
                         parse_rat, quote, unpair, vector_arity)
-from .words import (_ID_SYMS, EMPTY, GenSym, Word, _concat_ids, _reduce_ids,
-                    concat, format_word, free_reduce, intern_parts, invert,
-                    parse_word)
+from .words import (_ID_SYMS, EMPTY, FAMILIES, GenSym, Word, _concat_ids,
+                    _reduce_ids, concat, format_word, free_reduce, intern_parts,
+                    invert, parse_word)
 
 
 class ArityMismatch(ValueError):
@@ -145,12 +145,34 @@ class RelatorSchema:
         return RelatorSchema(self.arity, tpl, self.constraint, self.label + "^-1")
 
 
+class _RelatorRecord:
+    """The relators that searches' streams have found on one presentation.
+
+    `found[k]` is the k-th relator of the frozen stream as (schema index,
+    params, relator, ids of the inverted relator), and `raws[k]` the raw
+    vector index it was found at; every raw index below `frontier` has been
+    scanned.  The frontier grows only as far as some request needs, so the
+    record holds the relators some search asked for, plus one integer.
+    """
+
+    __slots__ = ("found", "raws", "frontier")
+
+    def __init__(self):
+        self.found: list[tuple[int, RatVec, Word, tuple[int, ...]]] = []
+        self.raws: list[int] = []
+        self.frontier = 0
+
+
 @dataclass(frozen=True)
 class Presentation:
     label: str
     dim: int
     generators: tuple[GenClause, ...]
     relators: tuple[RelatorSchema, ...] = ()
+    # shared by every search on this presentation and dies with it; a copy
+    # made by `replace` starts a fresh one
+    _relator_record: _RelatorRecord = field(default_factory=_RelatorRecord, init=False,
+                                            compare=False, repr=False)
 
     def __post_init__(self):
         for c in self.generators:
@@ -181,22 +203,26 @@ _SCAN_STEP = 20_000  # raw indices examined per stream request
 
 
 class _Streams:
-    """Lazily materialized relator and conjugator streams of one presentation.
+    """Lazily materialized relator and conjugator streams of one search.
 
     Relators: raw vector index ascending, then schema order, skipping
     parameters of wrong arity or violating the constraint.  Conjugators:
     empty word first, then by (length, letter-index tuple) with each
     generator symbol contributing +1 before -1.  A raw index whose vector
     has no schema's (clause's) arity is skipped without building the vector.
-    Each relator keeps the ids of its inverse, and each conjugator built is
-    kept with the ids of its inverse, for the life of the streams (one search).
+
+    A request scans at most `_SCAN_STEP` raw indices past the search's
+    cursor.  Relators come from the presentation's `_RelatorRecord`, which
+    every search shares; a search replays the scan on it with its own
+    cursor, below which every relator is visible to it, so its answers are
+    those of a scan from raw index 0, however warm the record.  Each
+    relator keeps the ids of its inverse.  Letters, and conjugators with
+    the ids of their inverses, are kept for the life of the streams.
     """
 
     def __init__(self, p: Presentation):
         self.p = p
-        # (schema index, params, relator, ids of the inverted relator)
-        self.relators: list[tuple[int, RatVec, Word, tuple[int, ...]]] = []
-        self._rel_raw = 0
+        self._rel_raw = 0  # this search's cursor
         self._rel_arities = {s.arity for s in p.relators}
         self.letters: list[tuple[GenSym, int]] = []
         self._let_raw = 0
@@ -204,19 +230,29 @@ class _Streams:
         self._conjugators: dict[int, tuple[Word, tuple[int, ...]]] = {0: (EMPTY, ())}
 
     def relator(self, i: int) -> Optional[tuple[int, RatVec, Word, tuple[int, ...]]]:
-        budget = _SCAN_STEP
-        while len(self.relators) <= i and budget > 0:
-            raw = self._rel_raw
-            self._rel_raw += 1
-            budget -= 1
+        # a request from cursor c reaches relator i iff its raw index R is
+        # below c + _SCAN_STEP, and moves the cursor to R + 1 if that is
+        # further; the record is scanned only as far as the request needs
+        rec = self.p._relator_record
+        found = rec.found
+        limit = self._rel_raw + _SCAN_STEP
+        while len(found) <= i and rec.frontier < limit:
+            raw = rec.frontier
+            rec.frontier += 1
             if vector_arity(raw) not in self._rel_arities:
                 continue
             vec = enumerate_vectors(raw)
             for si, s in enumerate(self.p.relators):
                 if s.arity == len(vec) and s.admits(vec):
                     r = s.instantiate(vec, check=False)
-                    self.relators.append((si, vec, r, invert(r).ids))
-        return self.relators[i] if i < len(self.relators) else None
+                    found.append((si, vec, r, invert(r).ids))
+                    rec.raws.append(raw)
+        if i < len(found) and rec.raws[i] < limit:
+            if rec.raws[i] >= self._rel_raw:
+                self._rel_raw = rec.raws[i] + 1
+            return found[i]
+        self._rel_raw = limit
+        return None
 
     def letter(self, i: int) -> Optional[tuple[GenSym, int]]:
         budget = _SCAN_STEP
@@ -502,8 +538,9 @@ def _goal_moves(u: Word, heads: _Heads,
     word, and reads nothing after it, so `memo` maps (schema index, the ids
     up to that letter) to `_window_hits` for the rest of one search; a
     window cut at a mismatch means the same as one cut at the word's end.
-    u's letters are built only when a window misses.  A move's certificate
-    entry is `CertEntry(Word(u.ids[:i]), relator, si, params)`.
+    u's letters are built only when a window misses, and a move's child
+    only when it is shorter than u.  A move's certificate entry is
+    `CertEntry(Word(u.ids[:i]), relator, si, params)`.
     """
     out = []
     ids = u.ids
@@ -526,10 +563,25 @@ def _goal_moves(u: Word, heads: _Heads,
                     letters = u.letters
                 hits = memo[key] = _window_hits(schema, letters, ids, i)
             for L, params, relator, inv_tail in hits:
-                # u and inv_tail are freely reduced: only the junctions cancel
-                u1 = _concat_ids(_concat_ids(ids[:i], inv_tail), ids[i + L:])
-                if len(u1) < n:
-                    out.append((i, si, params, relator, u1))
+                # the child is ids[:a] + inv_tail[k:e] + ids[b:]: u and
+                # inv_tail are freely reduced, so only the junctions cancel,
+                # and once inv_tail cancels whole the prefix meets the suffix
+                a = i
+                k = 0
+                e = len(inv_tail)
+                while k < e and a > 0 and ids[a - 1] == -inv_tail[k]:
+                    a -= 1
+                    k += 1
+                b = i + L
+                while b < n and e > k and inv_tail[e - 1] == -ids[b]:
+                    e -= 1
+                    b += 1
+                if e == k:
+                    while b < n and a > 0 and ids[a - 1] == -ids[b]:
+                        a -= 1
+                        b += 1
+                if a + e - k + n - b < n:
+                    out.append((i, si, params, relator, ids[:a] + inv_tail[k:e] + ids[b:]))
     return out
 
 
@@ -540,15 +592,18 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
     the node budget is exhausted.  The search is deterministic: goal-directed
     peeling moves first, then the frozen blind (conjugator, relator) dovetail,
     explored in cost order, so a result found at some fuel is returned
-    unchanged at any higher fuel.  Every cache it keeps dies with the call.
+    unchanged at any higher fuel.  Every cache it keeps dies with the call,
+    except the presentation's relator record, which it replays exactly.
     """
     if not check_word(p, w):
         raise ValueError("word contains letters outside the generator set")
     target = free_reduce(w)
     if len(target) == 0:
         return Certificate(())
-    # fresh streams: the search is a pure function of (p, w, fuel), so a
-    # proof found at some fuel is reproduced verbatim at any higher fuel
+    # streams with a fresh cursor: they replay the shared relator record as
+    # a scan from raw index 0 would find it, so the search is a pure function
+    # of (p, w, fuel) and a proof found at some fuel is reproduced verbatim
+    # at any higher fuel
     st = _Streams(p)
     has_blind = len(p.relators) > 0
 
@@ -667,6 +722,13 @@ def _nat_field(obj, key: str, what: str) -> int:
     return value
 
 
+def _family(obj, what: str) -> str:
+    family = _field(obj, "family", str, what)
+    if family not in FAMILIES:
+        raise ValueError(f"{what}: unknown generator family {quote(family)}")
+    return family
+
+
 def presentation_from_json(data) -> Presentation:
     """Inverse of `presentation_to_json`; malformed data raises ValueError.
 
@@ -679,7 +741,7 @@ def presentation_from_json(data) -> Presentation:
     for k, g in enumerate(_field(data, "generators", list, "presentation")):
         what = f"generator clause {k}"
         used: list = []
-        c = GenClause(_field(g, "family", str, what), _nat_field(g, "arity", what),
+        c = GenClause(_family(g, what), _nat_field(g, "arity", what),
                       Pred.from_json(g["pred"], used, leaves))
         _check_vars(used, c.arity, f"{what} ({quote(c.family)})")
         gens.append(c)
@@ -694,7 +756,7 @@ def presentation_from_json(data) -> Presentation:
                 raise ValueError(f"{what}: letter exponent must be 1 or -1, "
                                  f"got {quote(exp)}")
             index = _field(t, "index", list, what)
-            tpl.append(LetterTemplate(_field(t, "family", str, what), exp,
+            tpl.append(LetterTemplate(_family(t, what), exp,
                                       tuple([Poly.from_json(e, used, leaves) for e in index])))
         # older files carry a "mode", which was always "decidable"
         if _field(r, "mode", str, what, "decidable") != "decidable":

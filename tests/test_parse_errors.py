@@ -72,6 +72,10 @@ PRESENTATIONS = [
     ("clause-not-object", _pres(gens=[5]), "generator clause 0 must be an object"),
     ("clause-family-int", _pres(gens=[_clause(family=1)]),
      "generator clause 0 needs 'family' as a string"),
+    ("clause-family-unknown", _pres(gens=[_clause(family="q")]),
+     "generator clause 0: unknown generator family 'q'"),
+    ("clause-family-long", _pres(gens=[_clause(family="z" * 300)]),
+     f"generator clause 0: unknown generator family {'z' * 100!r}... (300 characters)"),
     ("clause-no-arity", _pres(gens=[_clause(arity=DROP)]),
      "generator clause 0 needs 'arity' as an integer"),
     ("clause-arity-negative", _pres(gens=[_clause(arity=-1)]),
@@ -100,6 +104,9 @@ PRESENTATIONS = [
      "relator 0 ('r') needs 'index' as a list"),
     ("letter-no-family", _pres(rels=[_rel(letters=[{"exp": 1, "index": [V0]}])]),
      "relator 0 ('r') needs 'family' as a string"),
+    ("letter-family-unknown", _pres(rels=[_rel(letters=[{"family": "q", "exp": 1,
+                                                          "index": [V0]}])]),
+     "relator 0 ('r'): unknown generator family 'q'"),
     ("letter-index-entry-bad", _pres(rels=[_rel(letters=[_x({"op": "div"})])]),
      "unknown polynomial op 'div'"),
     ("relator-mode-bad", _pres(rels=[_rel(mode="enumerable")]),
@@ -146,6 +153,16 @@ PRESENTATIONS = [
     ("family-bad-and-entry-bad",
      _pres(rels=[_rel(letters=[{"family": 1, "exp": 1, "index": [5]}])]),
      "relator 0 ('r') needs 'family' as a string"),
+    # a letter's family is checked when it is read: after its exponent and
+    # index list, before its index entries
+    ("family-unknown-and-entry-bad",
+     _pres(rels=[_rel(letters=[{"family": "q", "exp": 1, "index": [5]}])]),
+     "relator 0 ('r'): unknown generator family 'q'"),
+    ("exp-bad-and-family-unknown",
+     _pres(rels=[_rel(letters=[{"family": "q", "exp": 2, "index": [V0]}])]),
+     "relator 0 ('r'): letter exponent must be 1 or -1, got 2"),
+    ("clause-family-unknown-and-arity-bad", _pres(gens=[_clause(family="q", arity=-1)]),
+     "generator clause 0: unknown generator family 'q'"),
     ("entry-bad-and-constraint-bad", _pres(rels=[_rel(letters=[_x(5)], constraint=5)]),
      "polynomial node must be an object, got int"),
     ("mode-bad-and-arity-bad", _pres(rels=[_rel(mode="x", arity=-1)]),

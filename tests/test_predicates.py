@@ -96,6 +96,19 @@ def test_json_roundtrip():
     assert Pred.from_json(TRUE.to_json()) == TRUE
 
 
+@pytest.mark.parametrize("k", [5, [1]])
+def test_k_is_read_only_on_a_pow_node(k):
+    # `to_json` writes "k" only on pow; elsewhere it is an ignored extra key,
+    # so the parsed node equals its own round trip and can be hashed
+    v0 = var(0).to_json()
+    for node, expected in (({"op": "add", "args": [v0, v0], "k": k}, var(0) + var(0)),
+                           ({"op": "neg", "args": [v0], "k": k}, -var(0)),
+                           ({"op": "const", "value": "1/2", "k": k}, const(F(1, 2)))):
+        got = Poly.from_json(node)
+        assert got == expected == Poly.from_json(got.to_json())
+        assert hash(got) == hash(expected)
+
+
 def test_pow_exponent_cap():
     def power(arg, k):
         return {"op": "pow", "args": [arg], "k": k}

@@ -23,8 +23,8 @@ from realword.sample_groups import (BUILTIN_PRESENTATIONS,
                                     circle_presentation, sl2_presentation,
                                     torus_presentation)
 from realword.selftest import _corpus_identities, _corpus_refuted
-from realword.words import (EMPTY, GenSym, Word, concat, format_word, invert,
-                            parse_word)
+from realword.words import (EMPTY, GenSym, Word, concat, format_word,
+                            intern_parts, invert, parse_word)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -327,7 +327,7 @@ def test_stream_memo_equals_fresh_enumeration():
         # one request scans a bounded stretch of raw indices: 200 relators,
         # or fewer where they are sparse (26 in circle, 64 in rationals-b)
         st.relator(199)
-        relators = len(st.relators)
+        relators = len(p._relator_record.found)
         for i in range(200):
             c, c_inv = st.conjugator(i)
             assert c == enumerate_conjugators(p, i)
@@ -348,6 +348,149 @@ def test_stream_memo_equals_fresh_enumeration():
                     q = presentations._reduce_ids(c.ids + r_inv + c_inv)
                     assert presentations._concat_ids(q, u.ids) \
                         == concat(c, invert(r), invert(c), u).ids
+
+
+@pytest.mark.parametrize("name", ["circle", "rationals-b"])
+def test_warm_streams_replay_cold_streams(monkeypatch, name):
+    # with a short scan budget, requests on cold streams are cut short; a
+    # presentation whose relator record other searches have warmed must
+    # answer every request, and so every search, as a fresh one does
+    monkeypatch.setattr(presentations, "_SCAN_STEP", 200)
+    answers = []  # every request with its answer and the cursor it leaves
+    relator = presentations._Streams.relator
+
+    def logged(self, i):
+        got = relator(self, i)
+        answers.append((i, got, self._rel_raw))
+        return got
+
+    monkeypatch.setattr(presentations._Streams, "relator", logged)
+    rng = random.Random(4)
+    p = BUILTIN_PRESENTATIONS[name]()
+    runs = [(w, 100_000) for w in _corpus_identities(name, p, rng, 3)]
+    runs += [(w, 1500) for w in _corpus_refuted(name, rng, 4)]
+    warm = BUILTIN_PRESENTATIONS[name]()
+    for w, fuel in runs:
+        wp_semidecide(warm, w, fuel)
+    cut = ahead = 0
+    for w, fuel in runs:
+        cold = BUILTIN_PRESENTATIONS[name]()
+        results = []
+        for q in (cold, warm):
+            answers.clear()
+            cert = wp_semidecide(q, w, fuel)
+            results.append((None if cert is None else cert.to_json(), list(answers)))
+        assert results[0] == results[1]
+        cut += sum(got is None for _, got, _ in results[0][1])
+        ahead += warm._relator_record.frontier > cold._relator_record.frontier
+    assert cut > 0 and ahead > 0
+
+
+class _ScanFromZero:
+    """The relator stream as a search scanned it before the shared record:
+    its own list, from raw index 0, at most `_SCAN_STEP` indices a request."""
+
+    def __init__(self, p: Presentation):
+        self.p = p
+        self.found = []
+        self._rel_raw = 0
+
+    def relator(self, i):
+        budget = presentations._SCAN_STEP
+        while len(self.found) <= i and budget > 0:
+            raw = self._rel_raw
+            self._rel_raw += 1
+            budget -= 1
+            if presentations.vector_arity(raw) not in {s.arity for s in self.p.relators}:
+                continue
+            vec = presentations.enumerate_vectors(raw)
+            for si, s in enumerate(self.p.relators):
+                if s.arity == len(vec) and s.admits(vec):
+                    r = s.instantiate(vec, check=False)
+                    self.found.append((si, vec, r, invert(r).ids))
+        return self.found[i] if i < len(self.found) else None
+
+
+def test_relator_answers_do_not_depend_on_the_record(monkeypatch):
+    # request sequences on a scan from raw index 0, and on fresh streams over
+    # a fresh record and over a record scanned far ahead: the same answer
+    # and cursor after every call, including the cut-short requests
+    monkeypatch.setattr(presentations, "_SCAN_STEP", 300)
+    rng = random.Random(9)
+    for name in ("circle", "rationals-b", "sl2"):
+        warm = BUILTIN_PRESENTATIONS[name]()
+        ahead = presentations._Streams(warm)
+        while ahead.relator(90) is None:
+            pass
+        raws = warm._relator_record.raws
+        if name == "circle":  # the same-ray pair: two relators at one raw index
+            assert len(set(raws)) < len(raws)
+        cut = 0
+        for _ in range(6):
+            asks = [rng.randrange(80) for _ in range(40)]
+            cold = BUILTIN_PRESENTATIONS[name]()
+            streams = [_ScanFromZero(cold), presentations._Streams(cold),
+                       presentations._Streams(warm)]
+            for i in asks:
+                got = [(st.relator(i), st._rel_raw) for st in streams]
+                assert got[0] == got[1] == got[2]
+                cut += got[0][0] is None
+            assert cold._relator_record.frontier <= warm._relator_record.frontier
+        assert cut > 0, name
+
+
+def test_goal_move_child_is_sized_before_it_is_built():
+    # one-letter schemas x(v0) and x(v0)^-1 match at every position of a word
+    # over x(0) and x(1); a memo filled beforehand gives every match the same
+    # inverted tail, so every pair of a reduced word up to length 4 and a
+    # reduced tail up to length 3 is tried at every position against the
+    # nested join the search made before
+    p = Presentation("one-letter", 1, (GenClause("x", 1, TRUE),),
+                     (RelatorSchema(1, (LetterTemplate("x", 1, (var(0),)),)),
+                      RelatorSchema(1, (LetterTemplate("x", -1, (var(0),)),))))
+    gens = [intern_parts("x", (F(k),)) for k in (0, 1)]
+    letters = [v for g in gens for v in (g, -g)]
+    reduced = [()]
+    for w in reduced:
+        if len(w) < 4:
+            reduced += [w + (v,) for v in letters if not w or w[-1] != -v]
+    heads = presentations._Heads(p)
+    cases = {"kept": 0, "dropped": 0, "tail cancels whole": 0, "prefix meets suffix": 0}
+    for ids in reduced[1:]:
+        for inv_tail in (t for t in reduced if len(t) <= 3):
+            memo = {(0 if v > 0 else 1, (v,)): ((1, (), EMPTY, inv_tail),) for v in letters}
+            moves = presentations._goal_moves(Word(ids), heads, memo)
+            expected = []
+            for i in range(len(ids)):
+                child = presentations._concat_ids(
+                    presentations._concat_ids(ids[:i], inv_tail), ids[i + 1:])
+                if len(child) >= len(ids):
+                    cases["dropped"] += 1
+                    continue
+                expected.append((i, child))
+                cases["kept"] += 1
+                pairs = (len(ids) - 1 + len(inv_tail) - len(child)) // 2
+                cases["tail cancels whole"] += 0 < len(inv_tail) <= pairs
+                cases["prefix meets suffix"] += pairs > len(inv_tail)
+            assert [(i, u1) for i, _, _, _, u1 in moves] == expected
+    assert min(cases.values()) > 50, cases
+
+
+def test_relator_record_is_invisible():
+    # searches fill a presentation's record, but equality, hash, repr and
+    # JSON never see it; presentations made from it start with an empty one
+    for name in ("circle", "torus", "sl2", "rationals-a", "rationals-b"):
+        p, fresh = BUILTIN_PRESENTATIONS[name](), BUILTIN_PRESENTATIONS[name]()
+        before = (repr(p), hash(p), presentation_to_json(p))
+        for w in _corpus_refuted(name, random.Random(2), 2):
+            assert wp_semidecide(p, w, 300) is None
+        assert p._relator_record.found, name
+        assert p == fresh and hash(p) == hash(fresh)
+        assert (repr(p), hash(p), presentation_to_json(p)) == before
+        for q in (dataclasses.replace(p, label="copy"), free_product(p, fresh),
+                  amalgamate(p, fresh, None), hnn_extend(p, StableSpec("t", 1), ())):
+            record = q._relator_record
+            assert (record.found, record.raws, record.frontier) == ([], [], 0)
 
 
 def test_blind_proof_returns_at_once():
