@@ -608,9 +608,13 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
     has_blind = len(p.relators) > 0
 
     counter = 0
-    # heap entries: (priority, seq, word, chain, move_index)
-    heap: list[tuple[int, int, Word, tuple, int]] = [(0, 0, target, (), 0)]
-    goal_cache: dict[tuple, list[_Move]] = {}
+    # heap entries: (priority, seq, ids, moves, k, chain).  `moves` is None
+    # until the word is popped, then the word's goal moves while move k is
+    # one of them, and () once they are spent, with k re-based to the blind
+    # index; so a move list is freed when its last entry moves on, and no
+    # table keeps one per popped word.  `chain` is the certificate so far as
+    # linked (entry, parent chain) pairs, None when empty.
+    heap: list[tuple] = [(0, 0, target.ids, None, 0, None)]
     heads = _Heads(p)
     window_memo: dict[tuple, tuple[_Hit, ...]] = {}
     # blind index -> (c, relator, schema index, params, reduced c r^-1 c^-1);
@@ -622,19 +626,20 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
     for _ in range(fuel):
         if not heap:
             return None
-        prio, seq, u, chain, k = heapq.heappop(heap)
-        uids = u.ids
-        moves = goal_cache.get(uids)
+        prio, seq, uids, moves, k, chain = heapq.heappop(heap)
         if moves is None:
-            moves = goal_cache[uids] = _goal_moves(u, heads, window_memo)
+            moves = _goal_moves(Word(uids), heads, window_memo)
         ucost = best.get(uids, prio)
 
         # schedule this state's next move
         nk = k + 1
-        if nk < len(moves) or has_blind:
-            w_next = 1 if nk < len(moves) else 2 + (nk - len(moves))
+        if nk < len(moves):
             counter += 1
-            heapq.heappush(heap, (ucost + w_next, counter, u, chain, nk))
+            heapq.heappush(heap, (ucost + 1, counter, uids, moves, nk, chain))
+        elif has_blind:
+            nk -= len(moves)
+            counter += 1
+            heapq.heappush(heap, (ucost + 2 + nk, counter, uids, (), nk, chain))
 
         if k < len(moves):
             i, si, params, rword, ids1 = moves[k]
@@ -666,12 +671,16 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
         old = best.get(ids1)
         if old is not None and old <= ncost:
             continue
-        entry = CertEntry(c if i is None else Word(uids[:i]), rword, si, params)
+        chain = (CertEntry(c if i is None else Word(uids[:i]), rword, si, params), chain)
         if not ids1:
-            return Certificate(chain + (entry,))
+            entries = []
+            while chain is not None:
+                entry, chain = chain
+                entries.append(entry)
+            return Certificate(tuple(reversed(entries)))
         best[ids1] = ncost
         counter += 1
-        heapq.heappush(heap, (ncost + 1, counter, Word(ids1), chain + (entry,), 0))
+        heapq.heappush(heap, (ncost + 1, counter, ids1, None, 0, chain))
     return None
 
 

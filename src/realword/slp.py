@@ -206,13 +206,9 @@ def run_path(program: BssProgram, input_vec: Sequence[Fraction],
 
 # -- forced (value-free) execution and path enumeration ------------------------
 
-def _forced_dfs(program: BssProgram, d: int, steps: int,
-                counter: Optional[list[int]] = None) -> list[Path]:
-    """All forced runs of input dimension d that halt in exactly `steps` steps.
-
-    Paths come in the frozen order; `counter`, when given, is decremented
-    by one per forced step and the search stops early once it runs out.
-    """
+def _forced_dfs(program: BssProgram, d: int, steps: int) -> list[Path]:
+    """All forced runs of input dimension d that halt in exactly `steps` steps,
+    in the frozen order."""
     out: list[Path] = []
     # iterative DFS; stack holds (label, i, j, builder, steps_used)
     stack: list[tuple[int, int, int, _Builder, int]] = [(1, 1, 1, _Builder(d), 0)]
@@ -226,10 +222,6 @@ def _forced_dfs(program: BssProgram, d: int, steps: int,
                 break
             if used == steps:
                 break
-            if counter is not None:
-                if counter[0] <= 0:
-                    return out
-                counter[0] -= 1
             used += 1
             taken = None
             if ins.kind == "branch":

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -315,6 +316,25 @@ def test_search_output_is_pinned():
             out = None if cert is None else cert.to_json()
             h.update(json.dumps([name, format_word(w), fuel, out]).encode() + b"\n")
     assert h.hexdigest() == SEARCH_DIGEST
+
+
+@pytest.mark.parametrize("name,word", [("torus", "x(1/2) . x(1/3)"),
+                                       ("sl2", "x(1/2) . y . x(2)")],
+                         ids=["torus", "sl2"])
+def test_refuted_search_memory_per_pop_stays_small(name, word):
+    # a refuted search spends all of its fuel, so what it keeps per pop
+    # decides how far `realword wp --fuel` can go; a table keeping every
+    # popped word's goal moves would hold 370-470 bytes per pop here
+    p = BUILTIN_PRESENTATIONS[name]()
+    w = parse_word(word)
+    fuel = 20_000
+    tracemalloc.start()
+    try:
+        assert wp_semidecide(p, w, fuel) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 320 * fuel, peak
 
 
 def test_stream_memo_equals_fresh_enumeration():

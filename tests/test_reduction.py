@@ -15,10 +15,12 @@ from realword.reduction import (ZeroScale, assemble_u, build_W,
                                 v_membership, w_membership, word_constants)
 from realword.britton import hnn_is_identity
 from realword.presentations import check_generator, check_relator
-from realword.slp import _forced_dfs, replay, run_path
+from realword.slp import replay, run_path
 from realword.words import (EMPTY, GenSym, Word, concat, encode_w,
                             encode_w_tagged, format_word, invert,
                             nielsen_decompose, parse_word)
+
+from forced_walk import forced_walk
 
 
 def sign_path():
@@ -282,8 +284,8 @@ def reference_member_within(program, w, fuel):
         key = (d, steps)
         got = cache.get(key)
         if got is None:
-            got = _forced_dfs(guarded, d, steps, counter)
-            if counter is None or counter[0] > 0:
+            got = forced_walk(guarded, d, steps, counter)
+            if counter[0] > 0:
                 cache[key] = got
         return got
 
@@ -366,7 +368,7 @@ def walk_member_within(program, w, fuel):
         steps = 0
         while counter[0] > 0 and not found:
             counter[0] -= 1  # one unit per step level
-            for path in _forced_dfs(guarded, d, steps, counter):
+            for path in forced_walk(guarded, d, steps, counter):
                 counter[0] -= 1  # one unit per candidate replay
                 if replay(path, vec) is not None:
                     found = True
@@ -464,7 +466,7 @@ def test_count_stops_at_the_last_level_paid_for():
     cost = []
     for steps in range(60):
         counter = [10**9]
-        paths = _forced_dfs(prog, 1, steps, counter)
+        paths = forced_walk(prog, 1, steps, counter)
         cost.append((10**9 - counter[0], len(paths)))
     # below 246 the run does not halt within the fuel, and nothing is counted
     for fuel in [*range(246, 700), *range(700, 40_000, 397)]:

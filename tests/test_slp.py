@@ -12,6 +12,8 @@ from realword.programs import (ALL_PROGRAMS, halt_program, sign_program,
 from realword.slp import (Path as SlpPath, PathEnumerator, _Builder, _forced_dfs,
                           replay, run_path)
 
+from forced_walk import forced_walk
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -140,7 +142,7 @@ def test_counts_match_forced_walk():
         for steps in range(22):
             for d in (0, 1, 2):
                 counter = [10**9]
-                paths = _forced_dfs(prog, d, steps, counter)
+                paths = forced_walk(prog, d, steps, counter)
                 assert (10**9 - counter[0], len(paths)) == \
                     (en.walked(steps), en.halting(steps)), (name, steps, d)
 
@@ -161,9 +163,9 @@ def test_rank_matches_forced_walk():
                 for index, p in enumerate(_forced_dfs(prog, d, steps)):
                     reached, before = en.rank(p.guard_string, steps)
                     assert before == index, (name, steps, d, p.guard_string)
-                    assert p in _forced_dfs(prog, d, steps, [reached])
+                    assert p in forced_walk(prog, d, steps, [reached])
                     if reached:  # level 0 lists its path without a step
-                        assert p not in _forced_dfs(prog, d, steps, [reached - 1])
+                        assert p not in forced_walk(prog, d, steps, [reached - 1])
                     ranked += 1
     assert ranked == 64 + 130
 
