@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .rationals import RatVec
-from .words import (_ID_SYMS, EMPTY, GenSym, Letter, Word, concat, free_reduce,
+from .words import (_ID_SYMS, GenSym, Letter, Word, concat, free_reduce,
                     intern_parts, invert, nielsen_decompose)
 
 NEG_POS_WITH_A = "NegPosWithA"
@@ -179,11 +179,17 @@ def halfline_structure() -> HnnStructure:
     return commuting_structure(lambda w: len(free_reduce(w)) == 0, "t", member)
 
 
+# largest |k| of a power a^k that the bs12 maps build: each pinch of
+# t . a^k . t^-1 doubles k, so t^n . a . t^-n would reduce to 2^n letters
+MAX_POWER = 100_000
+
+
 def _a_word(k: int) -> Word:
-    if k == 0:
-        return EMPTY
-    sign = 1 if k > 0 else -1
-    return Word.from_letters([(GenSym("a"), sign)] * abs(k))
+    if abs(k) > MAX_POWER:
+        raise ValueError(f"bs12: the power a^{k} has more than "
+                         f"britton.MAX_POWER ({MAX_POWER:,}) letters")
+    gid = intern_parts("a", ())
+    return Word((gid if k > 0 else -gid,) * abs(k))
 
 
 # -- amalgamated products: the normal-form sufficient check ----------------------

@@ -152,7 +152,7 @@ def cmd_hnn_reduce(args) -> int:
     h = _STRUCTURES[args.structure]()
     w = parse_word(args.word)
     reduced = britton_reduce(h, w)
-    identity = hnn_is_identity(h, w)
+    identity = hnn_is_identity(h, reduced)  # a reduced word has no pinch left
     _emit([{"reduced": format_word(reduced), "identity": identity}], args.format)
     return 0
 

@@ -63,6 +63,15 @@ class LetterTemplate:
         gid = intern_parts(self.family, tuple(e.eval(params) for e in self.index))
         return gid if self.exp > 0 else -gid
 
+    def shape(self) -> tuple[str, int, int]:
+        return (self.family, self.exp, len(self.index))
+
+
+def _shape(v: int) -> tuple[str, int, int]:
+    """The shape (family, exp, index length) of signed generator id v."""
+    g = _ID_SYMS[abs(v)]
+    return (g.family, 1 if v > 0 else -1, len(g.index))
+
 
 @dataclass(frozen=True)
 class RelatorSchema:
@@ -82,26 +91,23 @@ class RelatorSchema:
             raise ValueError(f"parameters {params} violate the schema constraint")
         return Word(tuple(lt.instantiate_id(params) for lt in self.template))
 
-    def match_prefix(self, letters: Sequence[tuple[GenSym, int]],
-                     start: int) -> Optional[list[tuple[int, RatVec]]]:
-        """Every (L, params) making template[:L] equal letters[start:start+L].
+    def match_prefix(self, window: Sequence[int]) -> Optional[list[tuple[int, RatVec]]]:
+        """Every (L, params) making template[:L] the word of window[:L].
 
-        One walk along the template, stopping at the first shape mismatch.
-        Index entries bind bare variables or are solved one unknown at a
-        time; each binding is forced, so the parameters found once all are
-        bound are the only candidates for every longer prefix, which matches
-        when its observations and the constraint hold at them.  Returns the
-        non-empty matches longest first, or None.
+        `window` holds signed generator ids whose letters already have the
+        shapes of template[:len(window)], so only their indices are read.
+        One walk along it: index entries bind bare variables or are solved
+        one unknown at a time; each binding is forced, so the parameters
+        found once all are bound are the only candidates for every longer
+        prefix, which matches when its observations and the constraint hold
+        at them.  Returns the non-empty matches longest first, or None.
         """
         known: dict[int, Fraction] = {}
         seen: list[tuple[Poly, Fraction]] = []
         params = None
         hits = []
-        tpl = self.template
-        for L, (t, (gen, exp)) in enumerate(zip(tpl, letters[start:start + len(tpl)]), 1):
-            if gen.family != t.family or exp != t.exp or len(gen.index) != len(t.index):
-                break
-            obs = tuple(zip(t.index, gen.index))
+        for L, (t, v) in enumerate(zip(self.template, window), 1):
+            obs = tuple(zip(t.index, _ID_SYMS[abs(v)].index))
             if params is None:
                 seen.extend(obs)
                 progress = True
@@ -119,8 +125,7 @@ class RelatorSchema:
                                 progress = True
                 if len(known) < self.arity:
                     continue
-                params = tuple([known[i] if i in known else Fraction(0)
-                                for i in range(self.arity)])
+                params = tuple([known[i] for i in range(self.arity)])
                 if not (all(expr.eval(params) == val for expr, val in seen)
                         and self.constraint.eval(params)):
                     return None
@@ -132,11 +137,11 @@ class RelatorSchema:
     def match(self, w: Word) -> Optional[RatVec]:
         """Parameters of which w is the instance, or None."""
         n = len(self.template)
-        if len(w) != n:
+        if len(w) != n or any(_shape(v) != t.shape() for t, v in zip(self.template, w.ids)):
             return None
         if n == 0:
             return () if self.admits(()) else None
-        hits = self.match_prefix(w.letters, 0)
+        hits = self.match_prefix(w.ids)
         return hits[0][1] if hits and hits[0][0] == n else None
 
     def inverse(self) -> "RelatorSchema":
@@ -216,15 +221,16 @@ class _Streams:
     every search shares; a search replays the scan on it with its own
     cursor, below which every relator is visible to it, so its answers are
     those of a scan from raw index 0, however warm the record.  Each
-    relator keeps the ids of its inverse.  Letters, and conjugators with
-    the ids of their inverses, are kept for the life of the streams.
+    relator keeps the ids of its inverse.  Letters are signed generator
+    ids, interned once; they, and conjugators with the ids of their
+    inverses, are kept for the life of the streams.
     """
 
     def __init__(self, p: Presentation):
         self.p = p
         self._rel_raw = 0  # this search's cursor
         self._rel_arities = {s.arity for s in p.relators}
-        self.letters: list[tuple[GenSym, int]] = []
+        self.letters: list[int] = []
         self._let_raw = 0
         self._let_arities = {c.arity for c in p.generators}
         self._conjugators: dict[int, tuple[Word, tuple[int, ...]]] = {0: (EMPTY, ())}
@@ -254,7 +260,7 @@ class _Streams:
         self._rel_raw = limit
         return None
 
-    def letter(self, i: int) -> Optional[tuple[GenSym, int]]:
+    def letter(self, i: int) -> Optional[int]:
         budget = _SCAN_STEP
         while len(self.letters) <= i and budget > 0:
             raw = self._let_raw
@@ -265,9 +271,8 @@ class _Streams:
             vec = enumerate_vectors(raw)
             for c in self.p.generators:
                 if c.admits(vec):
-                    g = GenSym(c.family, vec)
-                    self.letters.append((g, 1))
-                    self.letters.append((g, -1))
+                    g = intern_parts(c.family, vec)
+                    self.letters += (g, -g)
         return self.letters[i] if i < len(self.letters) else None
 
     def conjugator(self, i: int) -> Optional[tuple[Word, tuple[int, ...]]]:
@@ -276,14 +281,14 @@ class _Streams:
         if got is not None:
             return got
         length1, m = unpair(i - 1)
-        letters = []
+        ids = []
         for k in _nat_tuple(length1 + 1, m):
-            got = self.letter(k)
-            if got is None:
+            v = self.letter(k)
+            if v is None:
                 return None
-            letters.append(got)
-        c = Word.from_letters(letters)
-        got = self._conjugators[i] = (c, invert(c).ids)
+            ids.append(v)
+        got = self._conjugators[i] = (Word(tuple(ids)),
+                                      tuple([-v for v in reversed(ids)]))
         return got
 
 
@@ -483,87 +488,71 @@ _NO_HITS: tuple[_Hit, ...] = ()
 _Move = tuple[int, int, RatVec, Word, tuple[int, ...]]
 
 
-class _Shapes(dict):
-    """Signed generator id -> its letter's shape (family, exp, index length),
-    looked up in `_ID_SYMS` the first time the id is seen."""
-
-    def __missing__(self, v: int) -> tuple[str, int, int]:
-        g = _ID_SYMS[abs(v)]
-        got = self[v] = (g.family, 1 if v > 0 else -1, len(g.index))
-        return got
-
-
 class _Heads(dict):
-    """Signed generator id -> the (schema index, schema, template shapes)
-    triples, in schema order, of the schemas whose first template letter has
-    that letter's shape; a schema can match only at a letter of that shape.
-    Entries and `shapes` are kept for the rest of one search.
+    """Signed generator id -> (its letter's shape, the (schema index, schema,
+    template shapes) triples, in schema order, of the schemas whose first
+    template letter has that shape); a schema can match only at a letter of
+    that shape.  Entries are filled by `_shape` on first sight of an id and
+    kept for the rest of one search.
     """
 
     def __init__(self, p: Presentation):
         super().__init__()
-        self.shapes = _Shapes()
         self.by_shape: dict[tuple[str, int, int], list] = {}
         for si, s in enumerate(p.relators):
             if s.template:
-                tshapes = tuple((t.family, t.exp, len(t.index)) for t in s.template)
+                tshapes = tuple(t.shape() for t in s.template)
                 self.by_shape.setdefault(tshapes[0], []).append((si, s, tshapes))
 
-    def __missing__(self, v: int) -> Sequence[tuple[int, RelatorSchema, tuple]]:
-        got = self[v] = self.by_shape.get(self.shapes[v], ())
+    def __missing__(self, v: int) -> tuple[tuple[str, int, int], Sequence[tuple]]:
+        shape = _shape(v)
+        got = self[v] = (shape, self.by_shape.get(shape, ()))
         return got
 
 
-def _window_hits(schema: RelatorSchema, letters: Sequence[tuple[GenSym, int]],
-                 ids: tuple[int, ...], i: int) -> tuple[_Hit, ...]:
-    """Every match of schema at position i, with its relator and inverted tail."""
-    found = schema.match_prefix(letters, i)
+def _window_hits(schema: RelatorSchema, window: tuple[int, ...]) -> tuple[_Hit, ...]:
+    """Every match of schema on a window, with its relator and inverted tail."""
+    found = schema.match_prefix(window)
     if found is None:
         return _NO_HITS
     hits = []
     for L, params in found:
-        tail = Word(tuple(t.instantiate_id(params) for t in schema.template[L:]))
+        tail = tuple([t.instantiate_id(params) for t in schema.template[L:]])
         # the matched letters are the instance's first L letters
-        hits.append((L, params, Word(ids[i:i + L] + tail.ids),
-                     free_reduce(invert(tail)).ids))
+        hits.append((L, params, Word(window[:L] + tail),
+                     _reduce_ids([-v for v in reversed(tail)])))
     return tuple(hits)
 
 
-def _goal_moves(u: Word, heads: _Heads,
+def _goal_moves(ids: tuple[int, ...], heads: _Heads,
                 memo: dict[tuple, tuple[_Hit, ...]]) -> list[_Move]:
-    """Certificate steps that strictly shorten u, by schema-prefix matching.
+    """Certificate steps that strictly shorten a word, by prefix matching.
 
-    `heads` is the search's `_Heads`.  `match_prefix` stops at the first
-    letter whose shape differs from the template's, or at the end of the
-    word, and reads nothing after it, so `memo` maps (schema index, the ids
-    up to that letter) to `_window_hits` for the rest of one search; a
-    window cut at a mismatch means the same as one cut at the word's end.
-    u's letters are built only when a window misses, and a move's child
-    only when it is shorter than u.  A move's certificate entry is
-    `CertEntry(Word(u.ids[:i]), relator, si, params)`.
+    `ids` is the word and `heads` the search's `_Heads`.  A schema's window
+    at position i ends at the first letter whose shape differs from the
+    template's, or at the template's or the word's end; `memo` maps
+    (schema index, window) to `_window_hits(schema, window)`, a function of
+    the key alone, for the rest of one search.  A move's child is built
+    only when it is shorter than the word, and its certificate entry is
+    `CertEntry(Word(ids[:i]), relator, si, params)`.
     """
     out = []
-    ids = u.ids
-    letters = None
     n = len(ids)
-    shapes = heads.shapes
     for i, v in enumerate(ids):
         left = n - i
-        for si, schema, tshapes in heads[v]:
+        for si, schema, tshapes in heads[v][1]:
             m = 1
             end = len(tshapes)
             if end > left:
                 end = left
-            while m < end and shapes[ids[i + m]] == tshapes[m]:
+            while m < end and heads[ids[i + m]][0] == tshapes[m]:
                 m += 1
             key = (si, ids[i:i + m])
             hits = memo.get(key)
             if hits is None:
-                if letters is None:
-                    letters = u.letters
-                hits = memo[key] = _window_hits(schema, letters, ids, i)
+                hits = memo[key] = _window_hits(schema, key[1])
             for L, params, relator, inv_tail in hits:
-                # the child is ids[:a] + inv_tail[k:e] + ids[b:]: u and
+                # the child is ids[:a] + inv_tail[k:e] + ids[b:]: ids and
                 # inv_tail are freely reduced, so only the junctions cancel,
                 # and once inv_tail cancels whole the prefix meets the suffix
                 a = i
@@ -628,7 +617,7 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
             return None
         prio, seq, uids, moves, k, chain = heapq.heappop(heap)
         if moves is None:
-            moves = _goal_moves(Word(uids), heads, window_memo)
+            moves = _goal_moves(uids, heads, window_memo)
         ucost = best.get(uids, prio)
 
         # schedule this state's next move

@@ -63,6 +63,24 @@ def test_hnn_reduce(capsys):
     assert "identity=True" in out
 
 
+def test_hnn_reduce_stops_before_a_power_past_the_cap(capsys):
+    # each bs12 pinch of t . a^k . t^-1 doubles k, so t^30 . a . t^-30 would
+    # reduce to 2^30 letters; the first power over the cap is never built
+    t0 = time.perf_counter()
+    assert main(["hnn-reduce", "--structure", "bs12",
+                 "--word", "t^30 . a . t^-30"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "britton.MAX_POWER (100,000)" in capsys.readouterr().err
+
+
+def test_hnn_reduce_builds_a_power_below_the_cap(capsys):
+    assert main(["hnn-reduce", "--structure", "bs12",
+                 "--word", "t^16 . a . t^-16"]) == 0
+    fields = dict(f.split("=") for f in capsys.readouterr().out.strip().split("  "))
+    assert fields["identity"] == "False"
+    assert fields["reduced"] == " . ".join(["a"] * 2 ** 16)
+
+
 def test_reduce_agreement(capsys):
     assert main(["reduce", "sign", "--input", "2", "--fuel", "2000"]) == 0
     out = capsys.readouterr().out

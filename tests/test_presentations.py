@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from realword import presentations
-from realword.predicates import TRUE, eq, is_nat, ne, var
+from realword.predicates import TRUE, eq, is_nat, ne, solve_unknown, var
 from realword.presentations import (ActionRule, ArityMismatch, CertEntry,
                                     Certificate, GenClause, LetterTemplate,
                                     Presentation, RelatorSchema, StableSpec,
@@ -51,19 +51,71 @@ def test_check_relator():
     assert check_relator(tor, parse_word("x(1/3) . x(1/4) . x(7/12)^-1"))
     assert not check_relator(tor, parse_word("x(1/3) . x(1/4) . x(1/2)^-1"))
     assert not check_relator(tor, EMPTY)
+    # `match` checks every letter's shape before it reads an index: a word
+    # that differs from the relator in one letter's family, exponent or
+    # index length is no relator
+    texts = ["x(1/3)", "x(1/4)", "x(7/12)^-1"]
+    variants = [("y(1/3)", "x(1/3)^-1", "x(1,2)"),
+                ("y(1/4)", "x(1/4)^-1", "x(1,2)"),
+                ("y(7/12)^-1", "x(7/12)", "x(1,2)^-1")]
+    for k in range(3):
+        for other in variants[k]:
+            w = parse_word(" . ".join(texts[:k] + [other] + texts[k + 1:]))
+            assert len(w) == 3 and not check_relator(tor, w), format_word(w)
+
+
+# the letter-based matcher the search used before it matched interned ids,
+# kept as the reference for `RelatorSchema.match_prefix`
+def _match_prefix_letters(schema: RelatorSchema, letters, start: int):
+    """Every (L, params) making template[:L] equal letters[start:start+L]."""
+    known = {}
+    seen = []
+    params = None
+    hits = []
+    tpl = schema.template
+    for L, (t, (gen, exp)) in enumerate(zip(tpl, letters[start:start + len(tpl)]), 1):
+        if gen.family != t.family or exp != t.exp or len(gen.index) != len(t.index):
+            break
+        obs = tuple(zip(t.index, gen.index))
+        if params is None:
+            seen.extend(obs)
+            progress = True
+            while progress and len(known) < schema.arity:
+                progress = False
+                for expr, val in seen:
+                    if expr.op == "var":  # a bare variable binds directly
+                        if expr.k not in known:
+                            known[expr.k] = val
+                            progress = True
+                    elif len(expr.vars() - known.keys()) == 1:
+                        got = solve_unknown(expr, val, known)
+                        if got is not None:
+                            known[got[0]] = got[1]
+                            progress = True
+            if len(known) < schema.arity:
+                continue
+            params = tuple([known[i] if i in known else F(0)
+                            for i in range(schema.arity)])
+            if not (all(expr.eval(params) == val for expr, val in seen)
+                    and schema.constraint.eval(params)):
+                return None
+        elif any(expr.eval(params) != val for expr, val in obs):
+            break
+        hits.append((L, params))
+    return hits[::-1] or None
 
 
 def test_match_prefix_returns_every_matching_prefix():
     tor = torus_presentation()
     shift, sum_ = (next(s for s in tor.relators if s.label == name)
                    for name in ("shift", "sum"))
-    letters = parse_word("x(1/3) . x(1/4) . x(7/12)^-1").letters
-    assert sum_.match_prefix(letters, 0) == [(3, (F(1, 3), F(1, 4))),
-                                             (2, (F(1, 3), F(1, 4)))]
+    ids = parse_word("x(1/3) . x(1/4) . x(7/12)^-1").ids
+    assert sum_.match_prefix(ids) == [(3, (F(1, 3), F(1, 4))),
+                                      (2, (F(1, 3), F(1, 4)))]
     # the shape breaks at the inverse letter before v1 is bound
-    assert sum_.match_prefix(letters, 1) is None
+    assert sum_.match_prefix(ids[1:2]) is None
     # x(5/2) is not x(1/2 + 1): only the one-letter prefix matches
-    assert shift.match_prefix(parse_word("x(1/2) . x(5/2)^-1").letters, 0) \
+    assert shift.match_prefix(parse_word("x(1/2) . x(5/2)^-1").ids) \
         == [(1, (F(1, 2),))]
 
 
@@ -212,7 +264,8 @@ def test_wp_empty_word():
     assert not verify_certificate(tor, parse_word("x(1/2)"), cert)
 
 
-# the goal-move generator before the per-search memo, kept as the reference
+# the goal-move generator before the per-search memo, kept as the reference;
+# it matches letters with the reference matcher, not the one under test
 def _goal_moves_unmemoised(p: Presentation, u: Word) -> list[tuple[CertEntry, Word]]:
     """Certificate steps that strictly shorten u, by schema-prefix matching."""
     out = []
@@ -221,7 +274,7 @@ def _goal_moves_unmemoised(p: Presentation, u: Word) -> list[tuple[CertEntry, Wo
     n = len(letters)
     for i in range(n):
         for si, schema in enumerate(p.relators):
-            for L, params in schema.match_prefix(letters, i) or ():
+            for L, params in _match_prefix_letters(schema, letters, i) or ():
                 tail = tuple(t.instantiate_id(params) for t in schema.template[L:])
                 u1 = concat(Word(ids[:i]), invert(Word(tail)), Word(ids[i + L:]))
                 if len(u1) < n:
@@ -238,13 +291,13 @@ def test_goal_moves_equal_the_unmemoised_moves(monkeypatch):
     current = {}
     expanded = 0
 
-    def both(u, heads, memo):
+    def both(ids, heads, memo):
         nonlocal expanded
-        moves = memoised(u, heads, memo)
+        moves = memoised(ids, heads, memo)
         # the search builds a move's entry and child word only when it is kept
-        built = [(CertEntry(Word(u.ids[:i]), rel, si, params), Word(u1))
+        built = [(CertEntry(Word(ids[:i]), rel, si, params), Word(u1))
                  for i, si, params, rel, u1 in moves]
-        assert built == _goal_moves_unmemoised(current["p"], u)
+        assert built == _goal_moves_unmemoised(current["p"], Word(ids))
         expanded += 1
         return moves
 
@@ -259,17 +312,19 @@ def test_goal_moves_equal_the_unmemoised_moves(monkeypatch):
     assert expanded > 1000
 
 
-def test_match_prefix_reads_nothing_past_the_first_shape_mismatch(monkeypatch):
-    # the search memoises a window under its cut at the first letter whose
-    # (family, exp, index length) differs from the template's; the match
-    # there must equal the match on the word cut at that letter, and at the
-    # end of the word, which the cut key shares
+def test_match_prefix_equals_the_letter_matcher(monkeypatch):
+    # the search matches a schema on the window of ids up to the first letter
+    # whose (family, exp, index length) differs from the template's; on every
+    # word the searches expand, at every position and schema, that must equal
+    # the reference matcher on the letters, which itself must read nothing
+    # past the cut, so a window cut at a mismatch means the same as one cut
+    # at the end of the word
     expanded = []
     memoised = presentations._goal_moves
 
-    def keep(u, heads, memo):
-        expanded.append(u)
-        return memoised(u, heads, memo)
+    def keep(ids, heads, memo):
+        expanded.append(ids)
+        return memoised(ids, heads, memo)
 
     monkeypatch.setattr(presentations, "_goal_moves", keep)
     rng = random.Random(3)
@@ -279,8 +334,8 @@ def test_match_prefix_reads_nothing_past_the_first_shape_mismatch(monkeypatch):
         expanded.clear()
         for w in _corpus_refuted(name, rng, 3):
             assert wp_semidecide(p, w, 1500) is None
-        for u in dict.fromkeys(expanded):
-            letters = u.letters
+        for ids in dict.fromkeys(expanded):
+            letters = Word(ids).letters
             for i in range(len(letters) + 1):
                 for schema in p.relators:
                     tpl = schema.template
@@ -292,9 +347,10 @@ def test_match_prefix_reads_nothing_past_the_first_shape_mismatch(monkeypatch):
                         m += 1
                     cuts["mismatch" if m < end else
                          "template end" if m == len(tpl) else "word end"] += 1
-                    assert schema.match_prefix(letters, i) \
-                        == schema.match_prefix(letters[:i + m], i)
-    assert min(cuts.values()) > 100
+                    ref = _match_prefix_letters(schema, letters, i)
+                    assert ref == _match_prefix_letters(schema, letters[:i + m], i)
+                    assert schema.match_prefix(ids[i:i + m]) == ref
+    assert min(cuts.values()) > 100, cuts
 
 
 # sha256 of the search output below, computed before the search's pops were
@@ -479,7 +535,7 @@ def test_goal_move_child_is_sized_before_it_is_built():
     for ids in reduced[1:]:
         for inv_tail in (t for t in reduced if len(t) <= 3):
             memo = {(0 if v > 0 else 1, (v,)): ((1, (), EMPTY, inv_tail),) for v in letters}
-            moves = presentations._goal_moves(Word(ids), heads, memo)
+            moves = presentations._goal_moves(ids, heads, memo)
             expected = []
             for i in range(len(ids)):
                 child = presentations._concat_ids(
