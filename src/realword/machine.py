@@ -40,9 +40,9 @@ invert or multiply by an unguarded zero.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .rationals import DivisionByZero, RatVec, format_rat, parse_rat, quote, rat_op
 
@@ -59,15 +59,16 @@ class BitCapExceeded(ArithmeticError):
     """A `mul` or `div` result has more than MAX_BITS bits."""
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
+    """One program line: an immutable record, cheap to build."""
+
     label: int
     kind: str  # compute | assign | branch | copy | halt
     op: str = ""  # add | sub | mul | div for compute
     target: int = 0
     a: int = 0
     b: int = 0
-    const: Fraction = Fraction(0)
+    const: Fraction = _ZERO
     jump: int = 0
     ictl: str = "="
     jctl: str = "="
@@ -279,6 +280,23 @@ _OPERANDS = {"halt": 0, "set": 2, "add": 3, "sub": 3, "mul": 3, "div": 3,
              "brgeq": 1, "copy": 0}
 
 
+def _number(parse, tok: str, what: str, raw: str):
+    try:
+        return parse(tok)
+    except ValueError:
+        raise ValueError(f"bad {what} {quote(tok)} in {quote(raw)}") from None
+
+
+def _register(tok: str, raw: str) -> int:
+    m = _REGISTER_TOKEN.fullmatch(tok)
+    if m is not None:
+        r = int(m[1])
+        if r <= MAX_REGISTER:
+            return r
+    raise ValueError(f"expected a register r0..r{MAX_REGISTER}, "
+                     f"got {quote(tok)} in {quote(raw)}")
+
+
 def parse_program(text: str) -> BssProgram:
     """Parse the one-instruction-per-line assembly format ('#' comments)."""
     out: list[Instruction] = []
@@ -287,14 +305,7 @@ def parse_program(text: str) -> BssProgram:
         if not line:
             continue
         head, _, rest = line.partition(":")
-
-        def number(parse, tok: str, what: str):
-            try:
-                return parse(tok)
-            except ValueError:
-                raise ValueError(f"bad {what} {quote(tok)} in {quote(raw)}") from None
-
-        label = number(int, head.strip(), "label")
+        label = _number(int, head.strip(), "label", raw)
         toks = rest.split()
         ictl = jctl = "="
         while toks and toks[-1] in ("i+", "i0", "j+", "j0"):
@@ -306,33 +317,29 @@ def parse_program(text: str) -> BssProgram:
         if not toks:
             raise ValueError(f"missing instruction in {quote(raw)}")
         name = toks[0]
-        if name not in _OPERANDS:
+        operands = _OPERANDS.get(name)
+        if operands is None:
             raise ValueError(f"unknown instruction {quote(name)}")
-        if len(toks) - 1 != _OPERANDS[name]:
-            raise ValueError(f"{name} takes {_OPERANDS[name]} operands in {quote(raw)}")
+        if len(toks) - 1 != operands:
+            raise ValueError(f"{name} takes {operands} operands in {quote(raw)}")
         if name in ("halt", "brgeq") and (ictl, jctl) != ("=", "="):
             raise ValueError(f"{name} takes no i+ i0 j+ j0 suffix in {quote(raw)}")
-
-        def reg(tok: str) -> int:
-            m = _REGISTER_TOKEN.fullmatch(tok)
-            if m is None or int(m[1]) > MAX_REGISTER:
-                raise ValueError(f"expected a register r0..r{MAX_REGISTER}, "
-                                 f"got {quote(tok)} in {quote(raw)}")
-            return int(m[1])
 
         if name == "halt":
             out.append(Instruction(label, "halt"))
         elif name == "set":
-            out.append(Instruction(label, "assign", target=reg(toks[1]),
-                                   const=number(parse_rat, toks[2], "constant"),
+            out.append(Instruction(label, "assign", target=_register(toks[1], raw),
+                                   const=_number(parse_rat, toks[2], "constant", raw),
                                    ictl=ictl, jctl=jctl))
-        elif name in ("add", "sub", "mul", "div"):
-            out.append(Instruction(label, "compute", op=name, target=reg(toks[1]),
-                                   a=reg(toks[2]), b=reg(toks[3]), ictl=ictl, jctl=jctl))
         elif name == "brgeq":
-            out.append(Instruction(label, "branch", jump=number(int, toks[1], "branch target")))
-        else:
+            out.append(Instruction(label, "branch",
+                                   jump=_number(int, toks[1], "branch target", raw)))
+        elif name == "copy":
             out.append(Instruction(label, "copy", ictl=ictl, jctl=jctl))
+        else:  # add | sub | mul | div
+            out.append(Instruction(label, "compute", name, _register(toks[1], raw),
+                                   _register(toks[2], raw), _register(toks[3], raw),
+                                   ictl=ictl, jctl=jctl))
     return BssProgram(tuple(out))
 
 
@@ -374,20 +381,41 @@ def max_register(program: BssProgram) -> int:
 
 # -- zero-guarding transform ---------------------------------------------------
 
-def mult_guard_transform(program: BssProgram) -> BssProgram:
+def _test_zero(src: int, z: int, tag: str, when_zero: str, when_nonzero: str) -> list[tuple]:
+    # branch to `when_zero` when register src is 0, else to `when_nonzero`
+    return [
+        ("add", 0, src, z, "=", "="),
+        ("br", f"nonneg_{tag}"),
+        ("set", 0, _ZERO, "=", "="),
+        ("br", when_nonzero),
+        ("label", f"nonneg_{tag}"),
+        ("sub", 0, z, src, "=", "="),
+        ("br", when_zero),
+        ("set", 0, _ZERO, "=", "="),
+        ("br", when_nonzero),
+    ]
+
+
+def mult_guard_transform(program: BssProgram, dim: int = 0) -> BssProgram:
     """Equivalent program whose multiplications never see a zero operand.
 
     Every `mul` is preceded by zero tests on both operands (taking the
     direct-assignment branch when one is zero) and every `div` by a zero
     test on the divisor that spins forever when it is zero.  Register 0 is
-    saved and restored around the inserted tests through a scratch register
-    above the statically referenced range, which is scrubbed afterwards, so
-    outputs agree with the original program up to trailing zeros.  Programs
-    whose `copy` instructions address registers beyond the static range are
-    outside the transform's contract.
+    saved and restored around the inserted tests through a scratch register,
+    which is scrubbed afterwards, so outputs agree with the original program
+    up to trailing zeros.  The scratch registers lie above both the
+    statically referenced range and the input registers 1..dim, so inputs of
+    dimension at most `dim` never load them.  Programs whose `copy`
+    instructions address registers beyond the static range are outside the
+    transform's contract.
+
+    An instruction whose label and jump target do not move is kept as it
+    is, so a program with no `mul` or `div` comes back with its own
+    instructions.
     """
-    s1 = max_register(program) + 1
-    z = s1 + 1  # never written: always reads 0
+    s1 = max(max_register(program), dim) + 1
+    z = s1 + 1  # never written and never an input: always reads 0
 
     blocks: list[list[tuple]] = []  # proto-instructions; jumps symbolic
     for ins in program.instructions:
@@ -395,41 +423,27 @@ def mult_guard_transform(program: BssProgram) -> BssProgram:
             a = s1 if ins.a == 0 else ins.a
             b = s1 if ins.b == 0 else ins.b
             blk: list[tuple] = [("add", s1, 0, z, "=", "=")]  # save r0
-
-            def test_zero(src: int, tag: str, when_zero: str, when_nonzero: str) -> list[tuple]:
-                return [
-                    ("add", 0, src, z, "=", "="),
-                    ("br", f"nonneg_{tag}"),
-                    ("set", 0, Fraction(0), "=", "="),
-                    ("br", when_nonzero),
-                    ("label", f"nonneg_{tag}"),
-                    ("sub", 0, z, src, "=", "="),
-                    ("br", when_zero),
-                    ("set", 0, Fraction(0), "=", "="),
-                    ("br", when_nonzero),
-                ]
-
             if ins.op == "mul":
                 for src, tag, then in ((a, "a", "test_b"), (b, "b", "do_op")):
-                    blk += test_zero(src, tag, f"zero_{tag}", then)
+                    blk += _test_zero(src, z, tag, f"zero_{tag}", then)
                     blk += [("label", f"zero_{tag}"),
-                            ("set", ins.target, Fraction(0), ins.ictl, ins.jctl),
-                            ("set", 0, Fraction(0), "=", "="),
+                            ("set", ins.target, _ZERO, ins.ictl, ins.jctl),
+                            ("set", 0, _ZERO, "=", "="),
                             ("br", "finish"),
                             ("label", then)]
                 blk += [("mul", ins.target, a, b, ins.ictl, ins.jctl),
                         ("label", "finish")]
             else:  # div: diverge on zero divisor
-                blk += test_zero(b, "b", "spin", "do_op")
+                blk += _test_zero(b, z, "b", "spin", "do_op")
                 blk += [("label", "spin"),
-                        ("set", 0, Fraction(0), "=", "="),
+                        ("set", 0, _ZERO, "=", "="),
                         ("br", "spin"),
                         ("label", "do_op"),
                         ("div", ins.target, a, b, ins.ictl, ins.jctl),
                         ("label", "finish")]
             if ins.target != 0:
                 blk.append(("add", 0, s1, z, "=", "="))  # restore r0
-            blk.append(("set", s1, Fraction(0), "=", "="))  # scrub scratch
+            blk.append(("set", s1, _ZERO, "=", "="))  # scrub scratch
             blocks.append(blk)
         else:
             blocks.append([("orig", ins)])
@@ -458,14 +472,16 @@ def mult_guard_transform(program: BssProgram) -> BssProgram:
             if kind == "orig":
                 ins = proto[1]
                 jump = starts[ins.jump - 1] if ins.kind == "branch" else 0
-                out.append(replace(ins, label=label, jump=jump))
+                if ins.label != label or ins.jump != jump:
+                    ins = ins._replace(label=label, jump=jump)
+                out.append(ins)
             elif kind == "br":  # every block defines the labels it jumps to
                 out.append(Instruction(label, "branch", jump=local[proto[1]]))
             elif kind == "set":
                 out.append(Instruction(label, "assign", target=proto[1],
                                        const=proto[2], ictl=proto[3], jctl=proto[4]))
             else:  # add | sub | mul | div
-                out.append(Instruction(label, "compute", op=kind, target=proto[1],
-                                       a=proto[2], b=proto[3], ictl=proto[4], jctl=proto[5]))
+                out.append(Instruction(label, "compute", kind, proto[1], proto[2], proto[3],
+                                       ictl=proto[4], jctl=proto[5]))
             label += 1
     return BssProgram(tuple(out))

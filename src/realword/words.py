@@ -42,6 +42,9 @@ class GenSym:
 
     family: str
     index: RatVec = ()
+    # the symbol's text, kept by its first `repr`; not a field, so equality,
+    # hash and repr never see it (as with `Poly._vars`)
+    _text = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -51,9 +54,12 @@ class GenSym:
             object.__setattr__(self, "index", tuple(Fraction(x) for x in idx))
 
     def __repr__(self):
-        if not self.index:
-            return self.family
-        return f"{self.family}({','.join(format_rat(x) for x in self.index)})"
+        text = self._text
+        if text is None:
+            text = (f"{self.family}({','.join(format_rat(x) for x in self.index)})"
+                    if self.index else self.family)
+            object.__setattr__(self, "_text", text)
+        return text
 
 
 Letter = tuple[GenSym, int]  # exponent is -1 or +1
@@ -178,12 +184,10 @@ def invert(w: Word) -> Word:
 # -- text syntax: x(1,5)^-1 . y . x(1,5) -------------------------------------
 
 def format_word(w: Word) -> str:
-    if len(w) == 0:
+    if not w._ids:
         return "1"
-    parts = []
-    for gen, exp in w.letters:
-        parts.append(repr(gen) + ("^-1" if exp < 0 else ""))
-    return " . ".join(parts)
+    syms = _ID_SYMS
+    return " . ".join([repr(syms[v]) if v > 0 else repr(syms[-v]) + "^-1" for v in w._ids])
 
 
 # largest |k| that `parse_word` expands for a `^k` suffix

@@ -87,6 +87,13 @@ def test_reduce_agreement(capsys):
     assert "agree=True" in out and "group=member" in out
 
 
+def test_reduce_input_past_the_guard_scratch_registers(capsys):
+    # square's guard saves r0 in r4 and reads 0 from r5: this input loads both
+    assert main(["reduce", "square", "--input", "3,0,0,0,7"]) == 0
+    out = capsys.readouterr().out
+    assert "simulated=halt" in out and "group=member" in out and "agree=True" in out
+
+
 
 def test_squaring_loop_ends_at_bit_cap(tmp_path, capsys):
     path = tmp_path / "square.bss"

@@ -1,7 +1,9 @@
+import json
 import random
 import re
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +12,11 @@ from realword.machine import (HALTED, MAX_BITS, MAX_REGISTER, Configuration,
                               format_program, execute, initial_configuration,
                               max_register, mult_guard_transform, parse_program,
                               run, step)
-from realword.programs import (ALL_PROGRAMS, double_program, poly3_program,
+from realword.programs import (ALL_PROGRAMS, SQUARE_SRC, double_program, poly3_program,
                                recip_program, sign_program, square_program)
 from realword.rationals import QUOTE_LIMIT, DivisionByZero
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_parse_and_validate():
@@ -111,6 +115,78 @@ def test_guard_transform_differential():
             assert a.halted == b.halted
             if a.halted:
                 assert a.trimmed_output == b.trimmed_output
+    # an input may load the registers just above the program's own: a
+    # transform built for its dimension keeps its scratch registers above
+    # the input, and up to the program's own registers it is the static one
+    for mk in (square_program, recip_program):
+        prog = mk()
+        for d in range(1, 7):
+            gt = mult_guard_transform(prog, d)
+            if d <= max_register(prog):
+                assert gt == mult_guard_transform(prog)
+            for _ in range(30):
+                x = (F(rng.randint(-9, 9), rng.randint(1, 5)),) + tuple(
+                    F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+                    for _ in range(d - 1))
+                a = run(prog, x, 500)
+                b = run(gt, x, 5000)
+                assert a.halted == b.halted, (mk.__name__, x)
+                if a.halted:
+                    assert a.trimmed_output == b.trimmed_output
+
+
+# a product into r0, a product that reads r0 and a division, each with
+# copy-register suffixes, and a branch over a guarded block
+SYNTHETIC_SRC = """\
+1: set r1 3
+2: brgeq 4
+3: mul r0 r1 r2 i+
+4: mul r3 r0 r1 j0
+5: div r4 r3 r1 i+ j0
+6: add r0 r4 r1
+7: brgeq 9
+8: copy i0
+9: halt
+"""
+
+
+def test_guard_transform_golden():
+    golden = json.loads((GOLDEN / "guarded_programs.json").read_text())
+    progs = {name: mk() for name, mk in ALL_PROGRAMS.items()}
+    progs["synthetic"] = parse_program(SYNTHETIC_SRC)
+    assert sorted(golden) == sorted(progs)
+    for name, prog in progs.items():
+        assert format_program(mult_guard_transform(prog)).splitlines() == golden[name], name
+
+
+@pytest.mark.parametrize("name", ["sign", "poly3", "halt", "double"])
+def test_guard_transform_keeps_unmoved_instructions(name):
+    prog = ALL_PROGRAMS[name]()
+    gt = mult_guard_transform(prog)
+    assert len(gt.instructions) == len(prog.instructions)
+    for k, ins in enumerate(prog.instructions):
+        assert gt.instructions[k] is ins
+
+
+def test_instruction_record_contract():
+    ins = square_program().instructions[0]
+    assert repr(ins) == ("Instruction(label=1, kind='compute', op='mul', target=2, a=1, b=1, "
+                         "const=Fraction(0, 1), jump=0, ictl='=', jctl='=')")
+    assert repr(parse_program("1: set r2 -3/2 i+ j0\n2: halt\n").instructions[0]) == (
+        "Instruction(label=1, kind='assign', op='', target=2, a=0, b=0, "
+        "const=Fraction(-3, 2), jump=0, ictl='+', jctl='0')")
+    assert repr(mult_guard_transform(recip_program()).instructions[5]) == (
+        "Instruction(label=6, kind='branch', op='', target=0, a=0, b=0, "
+        "const=Fraction(0, 1), jump=13, ictl='=', jctl='=')")
+    for field in ("label", "kind", "const", "jump"):
+        with pytest.raises(AttributeError):
+            setattr(ins, field, 2)
+    assert ins.label == 1 and ins.jump == 0
+    for src in [SQUARE_SRC, SYNTHETIC_SRC]:
+        a, b = parse_program(src), parse_program(src)
+        assert a == b and hash(a) == hash(b)
+        for x, y in zip(a.instructions, b.instructions, strict=True):
+            assert x is not y and x == y and hash(x) == hash(y)
 
 
 def test_guard_transform_no_zero_mul():

@@ -1,9 +1,10 @@
 """Every parse error pinned: presentation JSON, polynomial and predicate nodes,
-word texts, rational tokens and machine constants.
+word texts, rational tokens, machine constants and machine programs.
 
 Each malformed input maps to the exception type and message it raises.
 Inputs with two faults pin which one is reported first.  Presentation
-errors are also checked through the CLI, where each one is exit code 2.
+and program errors are also checked through the CLI, where each one is exit
+code 2.
 """
 
 import json
@@ -394,3 +395,140 @@ def test_machine_constant_tokens(tok, expected):
     else:
         got = parse_program(text).instructions[0].const
         assert type(got) is F and got == expected
+
+
+# program text -> the message of the ValueError parse_program raises
+PROGRAMS = [
+    # labels and branch targets read as integers
+    ('label-word', 'x: halt\n',
+     "bad label 'x' in 'x: halt'"),
+    ('label-empty', ': halt\n',
+     "bad label '' in ': halt'"),
+    ('label-fraction', '1/2: halt\n',
+     "bad label '1/2' in '1/2: halt'"),
+    ('label-no-colon', '1 halt\n',
+     "bad label '1 halt' in '1 halt'"),
+    ('branch-target-word', '1: brgeq two\n2: halt\n',
+     "bad branch target 'two' in '1: brgeq two'"),
+    ('branch-target-fraction', '1: brgeq 3/2\n2: halt\n',
+     "bad branch target '3/2' in '1: brgeq 3/2'"),
+    # the instruction name and its operand count
+    ('missing', '1:\n',
+     "missing instruction in '1:'"),
+    ('missing-suffix-only', '1: i+ j0\n',
+     "missing instruction in '1: i+ j0'"),
+    ('unknown', '1: jmp 2\n',
+     "unknown instruction 'jmp'"),
+    ('unknown-case', '1: HALT\n',
+     "unknown instruction 'HALT'"),
+    ('halt-1', '1: halt r1\n',
+     "halt takes 0 operands in '1: halt r1'"),
+    ('set-1', '1: set r1\n2: halt\n',
+     "set takes 2 operands in '1: set r1'"),
+    ('set-3', '1: set r1 2 3\n2: halt\n',
+     "set takes 2 operands in '1: set r1 2 3'"),
+    ('add-2', '1: add r1 r2\n2: halt\n',
+     "add takes 3 operands in '1: add r1 r2'"),
+    ('sub-4', '1: sub r1 r2 r3 r4\n2: halt\n',
+     "sub takes 3 operands in '1: sub r1 r2 r3 r4'"),
+    ('mul-1', '1: mul r1\n2: halt\n',
+     "mul takes 3 operands in '1: mul r1'"),
+    ('div-0', '1: div\n2: halt\n',
+     "div takes 3 operands in '1: div'"),
+    ('brgeq-0', '1: brgeq\n2: halt\n',
+     "brgeq takes 1 operands in '1: brgeq'"),
+    ('brgeq-2', '1: brgeq 2 3\n2: halt\n',
+     "brgeq takes 1 operands in '1: brgeq 2 3'"),
+    ('copy-1', '1: copy r1\n2: halt\n',
+     "copy takes 0 operands in '1: copy r1'"),
+    # halt and brgeq take no copy-register suffix
+    ('halt-suffix', '1: halt i+\n',
+     "halt takes no i+ i0 j+ j0 suffix in '1: halt i+'"),
+    ('brgeq-suffix', '1: brgeq 2 j0\n2: halt\n',
+     "brgeq takes no i+ i0 j+ j0 suffix in '1: brgeq 2 j0'"),
+    # registers: r, then at most five ASCII digits, at most MAX_REGISTER
+    ('reg-no-r', '1: add 1 r2 r3\n2: halt\n',
+     "expected a register r0..r10000, got '1' in '1: add 1 r2 r3'"),
+    ('reg-bare-r', '1: add r1 r r3\n2: halt\n',
+     "expected a register r0..r10000, got 'r' in '1: add r1 r r3'"),
+    ('reg-negative', '1: add r1 r2 r-3\n2: halt\n',
+     "expected a register r0..r10000, got 'r-3' in '1: add r1 r2 r-3'"),
+    ('reg-fraction', '1: set r1.5 2\n2: halt\n',
+     "expected a register r0..r10000, got 'r1.5' in '1: set r1.5 2'"),
+    ('reg-upper', '1: mul R1 r2 r3\n2: halt\n',
+     "expected a register r0..r10000, got 'R1' in '1: mul R1 r2 r3'"),
+    ('reg-over-max', '1: add r10001 r1 r1\n2: halt\n',
+     "expected a register r0..r10000, got 'r10001' in '1: add r10001 r1 r1'"),
+    ('reg-too-many-digits', '1: add r1 r123456 r1\n2: halt\n',
+     "expected a register r0..r10000, got 'r123456' in '1: add r1 r123456 r1'"),
+    ('reg-non-ascii-digit', '1: add r1 r1 r٣\n2: halt\n',
+     "expected a register r0..r10000, got 'r٣' in '1: add r1 r1 r٣'"),
+    ('reg-plus', '1: div r1 r+1 r2\n2: halt\n',
+     "expected a register r0..r10000, got 'r+1' in '1: div r1 r+1 r2'"),
+    # constants go through parse_rat (see CONSTANTS above)
+    ('constant-word', '1: set r1 x\n2: halt\n',
+     "bad constant 'x' in '1: set r1 x'"),
+    ('constant-zero-den', '1: set r1 1/0\n2: halt\n',
+     "bad constant '1/0' in '1: set r1 1/0'"),
+    # whole-program checks, made once every line has parsed
+    ('target-past-end', '1: brgeq 3\n2: halt\n',
+     'branch target 3 out of range'),
+    ('target-zero', '1: brgeq 0\n2: halt\n',
+     'branch target 0 out of range'),
+    ('target-negative', '1: brgeq -1\n2: halt\n',
+     'branch target -1 out of range'),
+    ('labels-start-2', '2: halt\n',
+     'labels must be 1..N in order, got 2 at 1'),
+    ('labels-skip', '1: set r1 1\n3: halt\n',
+     'labels must be 1..N in order, got 3 at 2'),
+    ('labels-repeat', '1: set r1 1\n1: halt\n',
+     'labels must be 1..N in order, got 1 at 2'),
+    ('empty', '',
+     'empty program'),
+    ('comments-only', '# nothing\n   \n',
+     'empty program'),
+    ('no-halt', '1: set r1 1\n',
+     'last instruction must be halt'),
+    ('halt-not-last', '1: halt\n2: set r1 1\n',
+     'last instruction must be halt'),
+    # two faults at once: the first one met is reported
+    ('label-and-unknown', 'x: jmp\n',
+     "bad label 'x' in 'x: jmp'"),
+    ('unknown-and-count', '1: jmp 1 2 3\n',
+     "unknown instruction 'jmp'"),
+    ('count-and-register', '1: add r1 q\n2: halt\n',
+     "add takes 3 operands in '1: add r1 q'"),
+    ('register-and-constant', '1: set q x\n2: halt\n',
+     "expected a register r0..r10000, got 'q' in '1: set q x'"),
+    ('suffix-and-count', '1: halt r1 i+\n',
+     "halt takes 0 operands in '1: halt r1 i+'"),
+    ('target-and-order', '2: brgeq 9\n3: halt\n',
+     'labels must be 1..N in order, got 2 at 1'),
+    ('second-line-bad', '1: set r1 1\n2: add r1 r1\n3: halt\n',
+     "add takes 3 operands in '2: add r1 r1'"),
+    ('order-before-no-halt', '2: set r1 1\n',
+     'labels must be 1..N in order, got 2 at 1'),
+    # the message quotes the raw line: comment, indentation and all
+    ('raw-line-comment', '1: set r1 x   # note\n2: halt\n',
+     "bad constant 'x' in '1: set r1 x   # note'"),
+    ('raw-line-indent', '  1: add r1 r1 r  \n2: halt\n',
+     "expected a register r0..r10000, got 'r' in '  1: add r1 r1 r  '"),
+    ("raw-line-long", "1: set r1 " + "9" * 300 + "x\n2: halt\n",
+     f"bad constant {'9' * 100!r}... (301 characters) "
+     f"in {'1: set r1 ' + '9' * 90!r}... (311 characters)"),
+]
+
+
+@pytest.mark.parametrize("cid, text, expected", PROGRAMS, ids=_ids(PROGRAMS))
+def test_program_error(cid, text, expected):
+    _raises(parse_program, text, expected)
+
+
+@pytest.mark.parametrize("cid, text, expected", PROGRAMS, ids=_ids(PROGRAMS))
+def test_program_error_is_a_usage_error(cid, text, expected, tmp_path, capsys):
+    path = tmp_path / "p.bss"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "--input", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {expected}\n"

@@ -7,6 +7,7 @@ import pytest
 from realword import slp
 from realword.machine import mult_guard_transform, parse_program, run
 from realword.programs import ALL_PROGRAMS, halt_program, sign_program
+from realword.rationals import pair, unpair
 from realword.reduction import (ZeroScale, assemble_u, build_W,
                                 check_reduction, extension_presentation,
                                 l_reachability_check, path_constants,
@@ -137,6 +138,34 @@ def test_u_handle_tagged():
     absent = next(n for n in range(300) if uh.enum.path(n) is None)
     assert not uh.member_tagged(encode_w_tagged(absent, (F(5),)))
     assert not uh.member_tagged(encode_w((F(5),)))  # untagged pattern
+
+
+def test_u_handle_tagged_past_the_guard_scratch_registers():
+    # square's guard keeps r4 and r5 as scratch; a path of dimension 5
+    # comes from the transform built for it, at the same index
+    prog = ALL_PROGRAMS["square"]()
+    uh = assemble_u(prog)
+    r = (F(3), F(0), F(0), F(0), F(7))
+    res = run(mult_guard_transform(prog, 5), r, 1000)
+    bits = run_path(mult_guard_transform(prog, 5), r, res.steps).guard_string
+    b = 5 + res.steps
+    k = next(k for k, p in enumerate(uh.enum.block(b)) if p.d == 5 and p.guard_string == bits)
+    n = pair(b, k)
+    assert unpair(n) == (b, k)
+    assert uh.member_tagged(encode_w_tagged(n, r))
+    assert not uh.member_tagged(encode_w_tagged(n, (F(1, 2),) + r[1:]))
+
+
+@pytest.mark.parametrize("name", sorted(ALL_PROGRAMS))
+def test_check_reduction_inputs_past_the_guard_scratch_registers(name):
+    rng = random.Random(f"scratch/{name}")
+    inputs = [(F(2), F(0), F(0), F(0), F(7))]
+    for d in range(1, 8):
+        inputs += [tuple(F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 3))
+                         for _ in range(d)) for _ in range(4)]
+    report = check_reduction(ALL_PROGRAMS[name](), inputs, 10_000)
+    assert all(rec["agree"] for rec in report), name
+    assert report[0]["group"] == "member"  # every program halts on r1 = 2
 
 
 def test_reduce_halting_shapes():

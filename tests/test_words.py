@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -9,7 +10,7 @@ from realword import words
 from realword.britton import commutator
 from realword.words import (EMPTY, MAX_EXPONENT, CapExceeded, GenSym, Word,
                             concat, encode_w, encode_w_tagged, format_word,
-                            free_reduce, invert, nielsen_decompose,
+                            free_reduce, invert, letter, nielsen_decompose,
                             parse_word, pattern_product, span_decide, word)
 
 
@@ -297,6 +298,40 @@ def test_gensym_validation():
         GenSym("q", ())
     with pytest.raises(ValueError):
         Word.from_letters([(GenSym("y"), 2)])
+
+
+# word -> (format_word text, repr of each letter's symbol)
+FORMATTED = [
+    (EMPTY, "1", []),
+    (word(letter("x", (1, F(-3, 2)), -1), letter("y")), "x(1,-3/2)^-1 . y", ["x(1,-3/2)", "y"]),
+    (word(letter("x", (F(1, 2), -7, 0, F(22, 7)))), "x(1/2,-7,0,22/7)", ["x(1/2,-7,0,22/7)"]),
+    (word(letter("aux", (), -1), letter("m", (2, F(-1, 3))), letter("aux")),
+     "aux^-1 . m(2,-1/3) . aux", ["aux", "m(2,-1/3)", "aux"]),
+    (encode_w((F(-5, 4), 0)), "x(2,0)^-1 . x(1,-5/4)^-1 . y . x(1,-5/4) . x(2,0)",
+     ["x(2,0)", "x(1,-5/4)", "y", "x(1,-5/4)", "x(2,0)"]),
+    (invert(encode_w_tagged(3, (F(2, 3),))), "x(1,2/3)^-1 . x(0,3)^-1 . y^-1 . x(0,3) . x(1,2/3)",
+     ["x(1,2/3)", "x(0,3)", "y", "x(0,3)", "x(1,2/3)"]),
+]
+
+
+@pytest.mark.parametrize("w, text, syms", FORMATTED, ids=[t for _, t, _ in FORMATTED])
+def test_format_word_is_pinned(w, text, syms):
+    for _ in range(2):  # the second pass reads the texts the symbols keep
+        assert format_word(w) == text
+        assert [repr(g) for g, _ in w.letters] == syms
+    assert parse_word(text) == w
+
+
+def test_gensym_text_is_invisible():
+    g = GenSym("x", (F(1), F(-3, 2)))
+    twin = dataclasses.replace(g)
+    assert g._text is None and twin._text is None
+    assert repr(g) == "x(1,-3/2)"
+    assert g._text == "x(1,-3/2)" and twin._text is None
+    assert g == twin and twin == g and hash(g) == hash(twin)
+    assert repr(twin) == repr(g)
+    assert [f.name for f in dataclasses.fields(GenSym)] == ["family", "index"]
+    assert repr(GenSym("y")) == "y" and repr(GenSym("t", ())) == "t"
 
 
 def test_letters_roundtrip():
