@@ -368,17 +368,6 @@ def format_program(program: BssProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def max_register(program: BssProgram) -> int:
-    """Largest statically referenced register index."""
-    m = 0
-    for ins in program.instructions:
-        if ins.kind == "compute":
-            m = max(m, ins.target, ins.a, ins.b)
-        elif ins.kind == "assign":
-            m = max(m, ins.target)
-    return m
-
-
 # -- zero-guarding transform ---------------------------------------------------
 
 def _test_zero(src: int, z: int, tag: str, when_zero: str, when_nonzero: str) -> list[tuple]:
@@ -396,26 +385,26 @@ def _test_zero(src: int, z: int, tag: str, when_zero: str, when_nonzero: str) ->
     ]
 
 
-def mult_guard_transform(program: BssProgram, dim: int = 0) -> BssProgram:
+def mult_guard_transform(program: BssProgram) -> BssProgram:
     """Equivalent program whose multiplications never see a zero operand.
 
     Every `mul` is preceded by zero tests on both operands (taking the
     direct-assignment branch when one is zero) and every `div` by a zero
     test on the divisor that spins forever when it is zero.  Register 0 is
     saved and restored around the inserted tests through a scratch register,
-    which is scrubbed afterwards, so outputs agree with the original program
-    up to trailing zeros.  The scratch registers lie above both the
-    statically referenced range and the input registers 1..dim, so inputs of
-    dimension at most `dim` never load them.  Programs whose `copy`
-    instructions address registers beyond the static range are outside the
-    transform's contract.
+    which is scrubbed afterwards.  The scratch registers sit below r0: r-1
+    holds the saved r0 and r-2, never written, always reads 0.  Inputs load
+    r1..rd, the copy registers start at 1 and only step up by one or reset
+    to 0, and the assembly format names only registers 0..MAX_REGISTER, so
+    no input, no `copy` and no program text reaches them, whatever the
+    input dimension.  Every register from r1 up is written exactly when the
+    original program writes it, so outputs agree with the original's.
 
     An instruction whose label and jump target do not move is kept as it
     is, so a program with no `mul` or `div` comes back with its own
     instructions.
     """
-    s1 = max(max_register(program), dim) + 1
-    z = s1 + 1  # never written and never an input: always reads 0
+    s1, z = -1, -2
 
     blocks: list[list[tuple]] = []  # proto-instructions; jumps symbolic
     for ins in program.instructions:

@@ -467,10 +467,19 @@ class Certificate:
 
 
 def verify_certificate(p: Presentation, w: Word, cert: Certificate) -> bool:
-    """Replay the certificate by free reduction; independent of the search."""
+    """Replay the certificate by free reduction; independent of the search.
+
+    A word with a letter outside the generator set raises ValueError, as
+    `wp_semidecide` does; a conjugator with one rejects the certificate.
+    """
+    if not check_word(p, w):
+        raise ValueError("word contains letters outside the generator set")
     acc = EMPTY
     for e in cert.entries:
         if not (0 <= e.schema_index < len(p.relators)):
+            return False
+        if not all(len(g.index) <= p.dim and check_generator(p, g)
+                   for g, _ in e.conjugator.letters):
             return False
         schema = p.relators[e.schema_index]
         if not schema.admits(e.params):

@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 from . import slp
 from .britton import (HnnStructure, commutator, commuting_structure,
                       hnn_is_identity)
-from .machine import BssProgram, max_register, mult_guard_transform, run
+from .machine import BssProgram, mult_guard_transform, run
 from .predicates import Pred, TRUE, conj, eq, ge, is_nat, lt as plt, ne, var
 from .presentations import (ActionRule, GenClause, LetterTemplate,
                             Presentation, StableSpec, hnn_extend)
@@ -292,7 +292,7 @@ def u_membership(path: Path, w: Word) -> bool:
 class UHandle:
     """Fueled membership test for the union-over-paths subgroup.
 
-    Bundles the program, its guarded form and that form's frozen path
+    Bundles the program's guarded form and that form's frozen path
     enumerator, the untagged and tagged pattern matchers, and work-budgeted
     membership: a word is a member at fuel F when every pattern factor's
     vector is accepted by some forced path found within F units, where a
@@ -301,32 +301,19 @@ class UHandle:
     walk of that level costs, so the verdict does not depend on earlier
     calls.  The charge is counted from the enumerator, never walked: one
     guarded run per factor finds the only path that can accept, and its
-    rank prices its level.
+    rank prices its level.  The guard's scratch registers lie below r0,
+    where no input loads a value, so one guarded form serves every input
+    dimension.
     """
 
-    program: BssProgram
     guarded: BssProgram
     enum: PathEnumerator
-
-    def guarded_for(self, d: int) -> BssProgram:
-        """The guarded program an input of dimension d runs on.
-
-        The guard's scratch registers lie just above the program's own, so
-        a longer input would load them: it gets a transform built for its
-        dimension, made afresh on each call.  The transforms differ only in
-        register numbers, and forced walks ignore those, so the counts and
-        the frozen order of `enum` hold for every d.  A program with no
-        `mul` or `div` is its own guarded form and has no scratch registers.
-        """
-        if self.guarded == self.program or d <= max_register(self.program):
-            return self.guarded
-        return mult_guard_transform(self.program, d)
 
     def member_within(self, w: Word, fuel: int) -> bool:
         decomp = nielsen_decompose(w)
         if decomp is None:
             return False
-        enum = self.enum
+        guarded, enum = self.guarded, self.enum
         left = fuel
         for k, (_, vec) in enumerate(decomp):
             # Replay accepts a forced path exactly when the guarded run on vec
@@ -335,7 +322,6 @@ class UHandle:
             # its halting step, can accept.  Every level costs at least one
             # unit, so if the run does not halt within the fuel left, no level
             # the walk below can reach has an accepting path.
-            guarded = self.guarded_for(len(vec))
             res = run(guarded, vec, left)
             if not res.halted:
                 return False
@@ -374,9 +360,7 @@ class UHandle:
 
         A factor w(n, r) belongs iff enumeration index n yields a path and
         the path accepts r; the tag pins the path down, so no fuel is
-        involved.  Paths of an input long enough to reach the guard's
-        scratch registers come from the transform built for its dimension,
-        whose enumeration lists the same levels in the same order.
+        involved.
         """
         decomp = nielsen_decompose(w, lo=0)
         if decomp is None:
@@ -387,11 +371,8 @@ class UHandle:
             n = vec[0]
             if n.denominator != 1 or n < 0:
                 return False
-            d = len(vec) - 1
-            guarded = self.guarded_for(d)
-            enum = self.enum if guarded is self.guarded else PathEnumerator(guarded)
-            path = enum.path(int(n))
-            if path is None or path.d != d:
+            path = self.enum.path(int(n))
+            if path is None or path.d != len(vec) - 1:
                 return False
             if slp.replay(path, vec[1:]) is None:
                 return False
@@ -400,7 +381,7 @@ class UHandle:
 
 def assemble_u(program: BssProgram) -> UHandle:
     guarded = mult_guard_transform(program)
-    return UHandle(program, guarded, PathEnumerator(guarded))
+    return UHandle(guarded, PathEnumerator(guarded))
 
 
 # -- the reduction map and its differential check -----------------------------------

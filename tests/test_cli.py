@@ -51,6 +51,23 @@ def test_wp_and_verify(tmp_path, capsys):
                  "--cert", str(cert)]) == 1
 
 
+def test_verify_word_outside_the_generators_is_a_usage_error(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps([{"conjugator": "y", "relator": "x(0) . x(1)^-1",
+                                 "schema": 0, "params": ["0"]}]))
+    word = ["torus", "--word", "y . x(0) . x(1)^-1 . y^-1"]
+    for argv in (["wp", *word], ["verify", *word, "--cert", str(cert)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "word contains letters outside the generator set" in captured.err
+    # a conjugator outside the generators rejects the certificate
+    cert.write_text(json.dumps([{"conjugator": "y . y^-1", "relator": "x(0) . x(1)^-1",
+                                 "schema": 0, "params": ["0"]}]))
+    assert main(["verify", "torus", "--word", "x(0) . x(1)^-1", "--cert", str(cert)]) == 1
+    assert capsys.readouterr().out == "REJECTED\n"
+
+
 def test_wp_unknown_exit_code(capsys):
     assert main(["wp", "torus", "--word", "x(1/2)", "--fuel", "500"]) == 1
     assert "UNKNOWN" in capsys.readouterr().out

@@ -10,8 +10,7 @@ import pytest
 from realword import machine
 from realword.machine import (HALTED, MAX_BITS, MAX_REGISTER, Configuration,
                               format_program, execute, initial_configuration,
-                              max_register, mult_guard_transform, parse_program,
-                              run, step)
+                              mult_guard_transform, parse_program, run, step)
 from realword.programs import (ALL_PROGRAMS, SQUARE_SRC, double_program, poly3_program,
                                recip_program, sign_program, square_program)
 from realword.rationals import QUOTE_LIMIT, DivisionByZero
@@ -35,8 +34,11 @@ def test_format_roundtrip():
     for mk in ALL_PROGRAMS.values():
         prog = mk()
         assert parse_program(format_program(prog)) == prog
+    # the guard's scratch registers lie below r0, where no program text
+    # can name them
     gt = mult_guard_transform(square_program())
-    assert parse_program(format_program(gt)) == gt
+    with pytest.raises(ValueError, match="r-1"):
+        parse_program(format_program(gt))
 
 
 def test_step_halt_and_branch():
@@ -103,9 +105,31 @@ def test_guard_transform_identity_on_plain_programs():
     assert mult_guard_transform(prog) == prog
 
 
+# square's body behind four `copy i+` and a `copy`, which copy r1 into
+# r1..r5: copy registers reach any register at or above 1
+COPY_SQUARE_SRC = """\
+1: copy i+
+2: copy i+
+3: copy i+
+4: copy i+
+5: copy
+6: mul r2 r1 r1
+7: set r3 -4
+8: add r0 r2 r3
+9: brgeq 12
+10: set r0 0
+11: brgeq 10
+12: halt
+"""
+
+
+def copy_square_program():
+    return parse_program(COPY_SQUARE_SRC)
+
+
 def test_guard_transform_differential():
     rng = random.Random(13)
-    for mk in (square_program, recip_program, double_program):
+    for mk in (square_program, recip_program, double_program, copy_square_program):
         prog = mk()
         gt = mult_guard_transform(prog)
         for _ in range(100):
@@ -114,16 +138,13 @@ def test_guard_transform_differential():
             b = run(gt, (x,), 5000)
             assert a.halted == b.halted
             if a.halted:
-                assert a.trimmed_output == b.trimmed_output
-    # an input may load the registers just above the program's own: a
-    # transform built for its dimension keeps its scratch registers above
-    # the input, and up to the program's own registers it is the static one
-    for mk in (square_program, recip_program):
+                assert a.output == b.output
+    # an input may load any register from r1 up, and `copy` may write any
+    # register from r1 up: neither reaches the guard's scratch registers
+    for mk in (square_program, recip_program, copy_square_program):
         prog = mk()
+        gt = mult_guard_transform(prog)
         for d in range(1, 7):
-            gt = mult_guard_transform(prog, d)
-            if d <= max_register(prog):
-                assert gt == mult_guard_transform(prog)
             for _ in range(30):
                 x = (F(rng.randint(-9, 9), rng.randint(1, 5)),) + tuple(
                     F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
@@ -132,7 +153,7 @@ def test_guard_transform_differential():
                 b = run(gt, x, 5000)
                 assert a.halted == b.halted, (mk.__name__, x)
                 if a.halted:
-                    assert a.trimmed_output == b.trimmed_output
+                    assert a.output == b.output
 
 
 # a product into r0, a product that reads r0 and a division, each with
@@ -211,11 +232,6 @@ def test_guard_transform_div_diverges_on_zero():
     assert res.status == "out_of_fuel"  # spins instead of faulting
 
 
-def test_max_register():
-    assert max_register(sign_program()) == 2
-    assert max_register(square_program()) == 3
-
-
 def test_determinism():
     prog = poly3_program()
     a = run(prog, (F(3, 2),), 1000)
@@ -252,7 +268,7 @@ def test_parse_truncated_line(text):
 
 def test_register_index_bounds():
     prog = parse_program(f"1: set r{MAX_REGISTER} 1\n2: add r0 r0 r0\n3: halt\n")
-    assert max_register(prog) == MAX_REGISTER
+    assert prog.instructions[0].target == MAX_REGISTER
     for line in (f"1: set r{MAX_REGISTER + 1} 1", "1: set r-1 1",
                  "1: add r1 r-3 r2", "1: set r 1"):
         with pytest.raises(ValueError, match=re.escape(line)):

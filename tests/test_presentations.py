@@ -591,6 +591,22 @@ def test_verify_rejects_corruption():
     assert not verify_certificate(tor, w, bad2)
 
 
+def test_verify_takes_only_generator_letters():
+    tor = torus_presentation()
+    rel = parse_word("x(0) . x(1)^-1")
+    # y is not a torus generator: the word is not a torus word at all
+    cert = Certificate((CertEntry(parse_word("y"), rel, 0, (F(0),)),))
+    with pytest.raises(ValueError, match="outside the generator set"):
+        verify_certificate(tor, parse_word("y . x(0) . x(1)^-1 . y^-1"), cert)
+    # conjugators that cancel freely still name letters outside the
+    # presentation: one not a generator, one past its dimension
+    for conj in ("y . y^-1", "x(1,2) . x(1,2)^-1"):
+        cert = Certificate((CertEntry(parse_word(conj), rel, 0, (F(0),)),))
+        assert not verify_certificate(tor, rel, cert), conj
+    cert = Certificate((CertEntry(parse_word("x(5) . x(5)^-1"), rel, 0, (F(0),)),))
+    assert verify_certificate(tor, rel, cert)
+
+
 def test_certificate_json_roundtrip():
     tor = torus_presentation()
     w = parse_word("x(1/3) . x(2/3) . x(0)^-1")

@@ -22,6 +22,7 @@ from realword.words import (EMPTY, GenSym, Word, concat, encode_w,
                             nielsen_decompose, parse_word)
 
 from forced_walk import forced_walk
+from test_machine import copy_square_program
 
 
 def sign_path():
@@ -141,13 +142,13 @@ def test_u_handle_tagged():
 
 
 def test_u_handle_tagged_past_the_guard_scratch_registers():
-    # square's guard keeps r4 and r5 as scratch; a path of dimension 5
-    # comes from the transform built for it, at the same index
+    # an input of dimension 5 loads r4 and r5, which lie above square's own
+    # registers; the guard's scratch registers lie below r0
     prog = ALL_PROGRAMS["square"]()
     uh = assemble_u(prog)
     r = (F(3), F(0), F(0), F(0), F(7))
-    res = run(mult_guard_transform(prog, 5), r, 1000)
-    bits = run_path(mult_guard_transform(prog, 5), r, res.steps).guard_string
+    res = run(uh.guarded, r, 1000)
+    bits = run_path(uh.guarded, r, res.steps).guard_string
     b = 5 + res.steps
     k = next(k for k, p in enumerate(uh.enum.block(b)) if p.d == 5 and p.guard_string == bits)
     n = pair(b, k)
@@ -166,6 +167,17 @@ def test_check_reduction_inputs_past_the_guard_scratch_registers(name):
     report = check_reduction(ALL_PROGRAMS[name](), inputs, 10_000)
     assert all(rec["agree"] for rec in report), name
     assert report[0]["group"] == "member"  # every program halts on r1 = 2
+
+
+def test_check_reduction_copy_past_the_program_registers():
+    # `copy` writes r1 into r1..r5, above every register the program names
+    prog = copy_square_program()
+    inputs = [(F(3),), (F(-2),), (F(1, 2),), (F(0),), (F(3), F(5)), (F(1), F(-7)),
+              (F(3), F(0), F(0), F(0), F(7)), (F(1, 3), F(2), F(3), F(4), F(5))]
+    report = check_reduction(prog, inputs, 10_000)
+    assert all(rec["agree"] for rec in report)
+    assert [rec["group"] == "member" for rec in report] == [
+        True, True, False, False, True, False, True, False]
 
 
 def test_reduce_halting_shapes():
