@@ -38,6 +38,13 @@ def _load_program(spec: str):
 
 MAX_JSON_DEPTH = 200  # lists and objects nested in a presentation or certificate file
 
+# decimal digits of one integer the CLI reads or prints, in place of
+# CPython's 4,300: a run's `mul` or `div` result of `machine.MAX_BITS` bits
+# has up to 30,103 digits, and the rest leaves room for about 33,000 `add`
+# steps past such a value.  Decimal conversion is quadratic, and 40,000
+# digits convert in a few hundredths of a second.
+MAX_DIGITS = 40_000
+
 
 def _json_depth(doc) -> int:
     """How deeply lists and objects nest in a parsed JSON document."""
@@ -307,11 +314,20 @@ def main(argv=None) -> int:
         args = ap.parse_args(_join_input(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # a literal over the bound is a usage error with CPython's message, which
+    # names the bound; the caller's own limit comes back on return
+    limit = None
+    if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(MAX_DIGITS)
     try:
         return args.fn(args)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -393,18 +393,20 @@ def mult_guard_transform(program: BssProgram) -> BssProgram:
     test on the divisor that spins forever when it is zero.  Register 0 is
     saved and restored around the inserted tests through a scratch register,
     which is scrubbed afterwards.  The scratch registers sit below r0: r-1
-    holds the saved r0 and r-2, never written, always reads 0.  Inputs load
-    r1..rd, the copy registers start at 1 and only step up by one or reset
-    to 0, and the assembly format names only registers 0..MAX_REGISTER, so
-    no input, no `copy` and no program text reaches them, whatever the
-    input dimension.  Every register from r1 up is written exactly when the
-    original program writes it, so outputs agree with the original's.
+    holds the saved r0 and r-3, never written, always reads 0 (not r-2,
+    which CPython hashes as it does -1, so the two would share a slot in a
+    run's register dict).  Inputs load r1..rd, the copy registers start at
+    1 and only step up by one or reset to 0, and the assembly format names
+    only registers 0..MAX_REGISTER, so no input, no `copy` and no program
+    text reaches them, whatever the input dimension.  Every register from
+    r1 up is written exactly when the original program writes it, so
+    outputs agree with the original's.
 
     An instruction whose label and jump target do not move is kept as it
     is, so a program with no `mul` or `div` comes back with its own
     instructions.
     """
-    s1, z = -1, -2
+    s1, z = -1, -3
 
     blocks: list[list[tuple]] = []  # proto-instructions; jumps symbolic
     for ins in program.instructions:

@@ -691,9 +691,10 @@ def check_constant_hygiene(seed: int) -> CheckResult:
             if not word_constants(w) <= allowed:
                 bad += 1
     for b in range(8):
-        for path in handle.enum.block(b):
-            if not path_constants(path) <= {Fraction(0)}:
-                bad += 1
+        for d in range(b + 1):
+            for path in handle.enum.exact(d, b - d):
+                if not path_constants(path) <= {Fraction(0)}:
+                    bad += 1
     dt = time.time() - t0
     return CheckResult("constant-hygiene", bad == 0,
                        f"50 inputs + enumerated path scan, {bad} leaks", dt)

@@ -27,13 +27,16 @@ ordered by their branch-decision strings (shorter strings first, and the
 to (block, offset) through the Cantor pairing; offsets past the end of a
 block yield None and callers skip them.
 
-Fueled membership prices a walk of a level without listing it:
-`PathEnumerator` counts forced prefixes by forced state, and ranks one
-path within its level by the same kind of count.
+No level is ever listed to find one of its paths.  `PathEnumerator`
+counts forced runs by forced state: forward, to price a walk of a level
+for fueled membership and to map an index to its level, and backward, to
+unrank the path at an offset in its level.  `rank` places one path within
+its level by a count of prefixes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -117,14 +120,6 @@ class _Builder:
         self.ops: list[PathOp] = []
         self.bits: list[str] = []
 
-    def clone(self) -> "_Builder":
-        b = _Builder.__new__(_Builder)
-        b.regmap = dict(self.regmap)
-        b.next = self.next
-        b.ops = list(self.ops)
-        b.bits = list(self.bits)
-        return b
-
     def alloc(self) -> int:
         t = self.next
         self.next += 1
@@ -206,42 +201,6 @@ def run_path(program: BssProgram, input_vec: Sequence[Fraction],
 
 # -- forced (value-free) execution and path enumeration ------------------------
 
-def _forced_dfs(program: BssProgram, d: int, steps: int) -> list[Path]:
-    """All forced runs of input dimension d that halt in exactly `steps` steps,
-    in the frozen order."""
-    out: list[Path] = []
-    # iterative DFS; stack holds (label, i, j, builder, steps_used)
-    stack: list[tuple[int, int, int, _Builder, int]] = [(1, 1, 1, _Builder(d), 0)]
-    while stack:
-        n, i, j, b, used = stack.pop()
-        while True:
-            ins = program.instructions[n - 1]
-            if ins.kind == "halt":
-                if used == steps:
-                    out.append(b.path(d))
-                break
-            if used == steps:
-                break
-            used += 1
-            taken = None
-            if ins.kind == "branch":
-                alt = b.clone()
-                alt.emit(ins, i, j, False)
-                stack.append((*advance(ins, n, i, j, False), alt, used))
-                taken = True
-            b.emit(ins, i, j, taken)
-            n, i, j = advance(ins, n, i, j, taken)
-    # DFS with a stack pops the deepest alternative first, which would put
-    # the '0' branch before the '1' branch; restore the frozen order.
-    out.sort(key=lambda p: _bitkey(p.guard_string))
-    return out
-
-
-def _bitkey(bits: str) -> tuple:
-    # '1' (>=0) explored before '0' within the same step count
-    return (len(bits), tuple(0 if c == "1" else 1 for c in bits))
-
-
 class PathEnumerator:
     """Frozen enumeration of forced halting paths of one program.
 
@@ -249,31 +208,43 @@ class PathEnumerator:
     halt in exactly B - d steps (in the frozen per-(d, F) order).  Index n
     unpacks as Cantor (B, k).
 
-    Fueled membership never lists a level.  It reads a forward count of
-    forced prefixes by forced state (label, i, j) instead.  A forced walk
-    ignores register values, so the count does not depend on d: at depth t,
-    live(t) prefixes stand at an instruction other than halt and
-    `halting(t)` at halt.  `walked(s)`, the sum of live(t) over t < s, is
-    exactly the number of forced steps the walk of any level (d, s) takes,
-    and `halting(s)` the number of paths it finds.  The count grows one
-    depth at a time, and only as far as a caller asks.  `rank` places one
-    path within its level by the same kind of count.
+    Two counts of forced runs answer everything without listing a level.  A
+    forced walk ignores register values, so neither depends on d.
+
+    - The forward count keeps, per depth, the number of forced prefixes at
+      each forced state (label, i, j).  At depth t, live(t) prefixes stand at
+      an instruction other than halt and `halting(t)` at halt.  `walked(s)`,
+      the sum of live(t) over t < s, is exactly the number of forced steps
+      the walk of any level (d, s) takes, and `halting(s)` the number of
+      paths it finds.  It grows one depth at a time, and only as far as a
+      caller asks.  Fueled membership prices its levels from it, and `path`
+      reads a block's levels from its running sums, so an empty level costs
+      one lookup.
+    - The backward count gives, for a forced state with r steps and m
+      branch bits left, the number of ways to halt in exactly r steps with
+      exactly m more bits.  `unrank` descends it to the k-th path of a level,
+      as `rank` ascends a count of prefixes to a path's place.  It is
+      memoized per enumerator, and only states a caller's levels reach are
+      counted.
     """
 
     def __init__(self, program: BssProgram):
         self.program = program
-        self._blocks: dict[int, list[Path]] = {}
-        # the count so far: halting(t) for every counted depth t, walked(t)
-        # up to one depth further, and the live states of the deepest
-        # counted depth with their numbers of prefixes
+        # the forward count so far: halting(t) for every counted depth t and
+        # `_halted`, its running sums (paths at depths below t), walked(t) up
+        # to one depth further, and the live states of the deepest counted
+        # depth with their numbers of prefixes
         self._halting: list[int] = []
+        self._halted = [0]
         self._walked = [0]
         self._live: dict[tuple[int, int, int], int] = {}
         self._tally({(1, 1, 1): 1})
+        # the backward count: (label, i, j, r, m) -> halting completions
+        self._completions: dict[tuple[int, int, int, int, int], int] = {}
 
     def exact(self, d: int, steps: int) -> list[Path]:
-        """The (d, steps) level, walked afresh on every call."""
-        return _forced_dfs(self.program, d, steps)
+        """Every path of level (d, steps), in the frozen order."""
+        return [self.unrank(d, steps, k) for k in range(self.halting(steps))]
 
     def walked(self, steps: int) -> int:
         """Forced steps of a walk of level `steps`, whatever its d."""
@@ -286,6 +257,85 @@ class PathEnumerator:
         while len(self._halting) <= steps:
             self._extend()
         return self._halting[steps]
+
+    def path(self, n: int) -> Optional[Path]:
+        """The path at enumeration index n, or None past the end of its block."""
+        b, k = unpair(n)
+        self.halting(b)
+        # block b lists levels b, b - 1, ..., 0 (d = 0, 1, ..., b).  From
+        # offset k to its end it holds x paths: the rest of the path's level
+        # t and every level below t, so halted[t] < x <= halted[t + 1]
+        halted = self._halted
+        x = halted[b + 1] - k
+        if x <= 0:
+            return None
+        steps = bisect_left(halted, x) - 1
+        return self.unrank(b - steps, steps, halted[steps + 1] - x)
+
+    def unrank(self, d: int, steps: int, k: int) -> Path:
+        """The k-th path (from 0) of level (d, steps) in the frozen order.
+
+        Paths with fewer branch bits come first, so the bit count is found
+        first; then each branch takes '1' when k falls among the completions
+        that take it, and '0' past them.  The program is forced along those
+        bits with one builder.
+        """
+        if not 0 <= k < self.halting(steps):
+            raise IndexError(f"level {steps} has no path {k}")
+        bits = 0
+        while k >= (ahead := self._count(1, 1, 1, steps, bits)):
+            k -= ahead
+            bits += 1
+        instructions = self.program.instructions
+        b = _Builder(d)
+        n = i = j = 1
+        for r in range(steps, 0, -1):
+            ins = instructions[n - 1]
+            taken = None
+            if ins.kind == "branch":
+                ones = self._count(*advance(ins, n, i, j, True), r - 1, bits - 1)
+                taken = k < ones
+                if not taken:
+                    k -= ones
+                bits -= 1
+            b.emit(ins, i, j, taken)
+            n, i, j = advance(ins, n, i, j, taken)
+        return b.path(d)
+
+    def _count(self, n: int, i: int, j: int, r: int, m: int) -> int:
+        """Forced runs from state (n, i, j) that halt in exactly r steps with
+        exactly m branch bits, counted with an explicit stack."""
+        memo = self._completions
+        top = (n, i, j, r, m)
+        got = memo.get(top)
+        if got is not None:  # most calls, once a level's count is made
+            return got
+        instructions = self.program.instructions
+        stack = [top]
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            n, i, j, r, m = key
+            ins = instructions[n - 1]
+            branch = ins.kind == "branch"
+            if ins.kind == "halt" or r == 0 or m > r or branch and m == 0:
+                memo[key] = int(ins.kind == "halt" and r == m == 0)
+                stack.pop()
+                continue
+            if branch:
+                kids = [(*advance(ins, n, i, j, taken), r - 1, m - 1)
+                        for taken in (True, False)]
+            else:
+                kids = [(*advance(ins, n, i, j, None), r - 1, m)]
+            todo = [kid for kid in kids if kid not in memo]
+            if todo:
+                stack.extend(todo)
+            else:
+                memo[key] = sum(memo[kid] for kid in kids)
+                stack.pop()
+        return memo[top]
 
     def rank(self, bits: str, steps: int) -> tuple[int, int]:
         """Where the forced path with branch bits `bits` halting at `steps`
@@ -345,18 +395,5 @@ class PathEnumerator:
             else:
                 self._live[state] = count
         self._halting.append(halting)
+        self._halted.append(self._halted[-1] + halting)
         self._walked.append(self._walked[-1] + sum(self._live.values()))
-
-    def block(self, b: int) -> list[Path]:
-        got = self._blocks.get(b)
-        if got is None:
-            got = []
-            for d in range(b + 1):
-                got.extend(self.exact(d, b - d))
-            self._blocks[b] = got
-        return got
-
-    def path(self, n: int) -> Optional[Path]:
-        b, k = unpair(n)
-        block = self.block(b)
-        return block[k] if k < len(block) else None

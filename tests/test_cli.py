@@ -1,10 +1,12 @@
 import json
+import sys
 import time
+from decimal import Decimal
 
 import pytest
 
-from realword.cli import MAX_JSON_DEPTH, main
-from realword.machine import MAX_REGISTER
+from realword.cli import MAX_DIGITS, MAX_JSON_DEPTH, main
+from realword.machine import MAX_BITS, MAX_REGISTER
 from realword.predicates import MAX_POW_EXPONENT
 from realword.programs import SIGN_SRC
 
@@ -34,6 +36,18 @@ def test_paths(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 5
     assert "d=" in out[0]
+
+
+def test_paths_unranks_the_first_path_of_a_wide_level(tmp_path, capsys):
+    # level 30 of a chain of 30 branches holds 2^30 paths; its first one is
+    # printed without listing the others
+    prog = tmp_path / "chain.bss"
+    prog.write_text("".join(f"{k}: brgeq {k + 1}\n" for k in range(1, 31)) + "31: halt\n")
+    t0 = time.perf_counter()
+    assert main(["paths", str(prog), "--count", "1"]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().out == ("index=465  d=0  D=1  guards=" + "1" * 30
+                                       + "  ops=assign" + " geq" * 30 + "\n")
 
 
 def test_wp_and_verify(tmp_path, capsys):
@@ -105,7 +119,8 @@ def test_reduce_agreement(capsys):
 
 
 def test_reduce_input_past_the_guard_scratch_registers(capsys):
-    # square's guard saves r0 in r4 and reads 0 from r5: this input loads both
+    # this input loads r4 and r5, above square's own registers; the guard's
+    # scratch registers lie below r0
     assert main(["reduce", "square", "--input", "3,0,0,0,7"]) == 0
     out = capsys.readouterr().out
     assert "simulated=halt" in out and "group=member" in out and "agree=True" in out
@@ -125,6 +140,39 @@ def test_squaring_loop_ends_at_bit_cap(tmp_path, capsys):
     assert (rec["simulated"], rec["group"], rec["agree"]) == \
         ("inconclusive", "not-within-fuel", True)
     assert time.perf_counter() - t0 < 2
+
+# 14 squarings of 2 halt with 2^16384, of 4,933 digits, past CPython's
+# default bound of 4,300 on decimal conversion
+SQUARINGS = ("1: set r1 2\n" + "".join(f"{k}: mul r1 r1 r1\n" for k in range(2, 16))
+             + "16: halt\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_run_prints_an_output_past_the_default_digit_limit(fmt, tmp_path, capsys):
+    path = tmp_path / "squarings.bss"
+    path.write_text(SQUARINGS)
+    limit = sys.get_int_max_str_digits()
+    assert main(["run", str(path), "--format", fmt]) == 0
+    assert sys.get_int_max_str_digits() == limit  # the caller's bound comes back
+    out = capsys.readouterr().out
+    rec = json.loads(out) if fmt == "jsonl" else dict(
+        field.split("=") for field in out.split())
+    assert (rec["status"], int(rec["steps"])) == ("halted", 15)
+    assert len(rec["output"]) == 4933 and Decimal(rec["output"]) == Decimal(1 << 16384)
+
+
+def test_number_over_the_digit_bound_is_a_usage_error(capsys):
+    # every value a run's `mul` or `div` may keep fits under the bound
+    assert 1 << MAX_BITS < 10 ** MAX_DIGITS
+    big = "9" * (MAX_DIGITS + 1)
+    for argv in (["run", "sign", "--input", big], ["wp", "torus", "--word", f"x({big})"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"Exceeds the limit ({MAX_DIGITS} digits)" in captured.err
+    assert main(["run", "sign", "--input", big[1:], "--fuel", "10"]) == 0
+    assert "status=halted" in capsys.readouterr().out
+
 
 def test_figure1_deterministic(capsys):
     assert main(["figure1", "--row", "add", "--samples", "10", "--seed", "3"]) == 0

@@ -150,7 +150,9 @@ def test_u_handle_tagged_past_the_guard_scratch_registers():
     res = run(uh.guarded, r, 1000)
     bits = run_path(uh.guarded, r, res.steps).guard_string
     b = 5 + res.steps
-    k = next(k for k, p in enumerate(uh.enum.block(b)) if p.d == 5 and p.guard_string == bits)
+    # block b lists the levels of d = 0..4 before (5, res.steps)
+    k = sum(uh.enum.halting(b - e) for e in range(5)) + next(
+        k for k, p in enumerate(uh.enum.exact(5, res.steps)) if p.guard_string == bits)
     n = pair(b, k)
     assert unpair(n) == (b, k)
     assert uh.member_tagged(encode_w_tagged(n, r))
@@ -270,8 +272,9 @@ def test_constant_free_program_emits_no_foreign_rationals():
     assert word_constants(q) <= allowed
     assert word_constants(c) <= allowed
     for b in range(7):
-        for path in uh.enum.block(b):
-            assert path_constants(path) <= {F(0)}
+        for d in range(b + 1):
+            for path in uh.enum.exact(d, b - d):
+                assert path_constants(path) <= {F(0)}
 
 
 def test_v_membership_of_extensions():
@@ -360,7 +363,8 @@ def _warm_handle(name):
     uh = assemble_u(ALL_PROGRAMS[name]())
     for x in (F(5), F(-1), F(1, 2), F(3)):
         uh.member_within(encode_w((x,)), 2000)
-    uh.enum.block(12)
+    for d in range(13):
+        uh.enum.exact(d, 12 - d)
     return uh
 
 
@@ -471,11 +475,12 @@ def test_doubling_forced_tree_is_never_walked(monkeypatch):
     prog = parse_program("".join(f"{k}: brgeq {k + 1}\n" for k in range(1, 41))
                          + "41: halt\n")
     walks = []
-    real = slp._forced_dfs
-    monkeypatch.setattr(slp, "_forced_dfs", lambda *a: walks.append(a) or real(*a))
+    real = slp.PathEnumerator.unrank
+    monkeypatch.setattr(slp.PathEnumerator, "unrank",
+                        lambda self, *a: walks.append(a) or real(self, *a))
     uh = assemble_u(prog)
     assert not uh.member_within(encode_w((F(1),)), 10**6)
-    assert walks == []
+    assert walks == [] and uh.enum._completions == {}
     assert len(uh.enum._halting) == 19  # levels 0..18 are paid for
     assert uh.enum.walked(18) == 2**18 - 1
 
@@ -541,8 +546,9 @@ def test_halting_level_is_never_walked(monkeypatch):
     # run's path is ranked in it instead, and not at all for a last factor
     # whose fuel pays for the whole walk
     walks, ranks = [], []
-    real_dfs, real_rank = slp._forced_dfs, slp.PathEnumerator.rank
-    monkeypatch.setattr(slp, "_forced_dfs", lambda *a: walks.append(a) or real_dfs(*a))
+    real_unrank, real_rank = slp.PathEnumerator.unrank, slp.PathEnumerator.rank
+    monkeypatch.setattr(slp.PathEnumerator, "unrank",
+                        lambda self, *a: walks.append(a) or real_unrank(self, *a))
     monkeypatch.setattr(slp.PathEnumerator, "rank",
                         lambda self, *a: ranks.append(a) or real_rank(self, *a))
     uh = assemble_u(_doubling(18))
@@ -553,7 +559,7 @@ def test_halting_level_is_never_walked(monkeypatch):
     # the all-'1' path after the 18 forced steps down to it
     assert uh.member_within(concat(encode_w((F(1),)), encode_w((F(2),))), 10**6)
     assert ranks == [("1" * 18, 18)] * 2
-    assert walks == []
+    assert walks == [] and uh.enum._completions == {}
 
 
 def test_membership_memory_stays_small():

@@ -9,8 +9,7 @@ from realword.machine import (HALTED, initial_configuration, mult_guard_transfor
                               parse_program, run, step)
 from realword.programs import (ALL_PROGRAMS, halt_program, sign_program,
                                square_program)
-from realword.slp import (Path as SlpPath, PathEnumerator, _Builder, _forced_dfs,
-                          replay, run_path)
+from realword.slp import Path as SlpPath, PathEnumerator, _Builder, replay, run_path
 
 from forced_walk import forced_walk
 
@@ -147,20 +146,22 @@ def test_counts_match_forced_walk():
                     (en.walked(steps), en.halting(steps)), (name, steps, d)
 
 
+# besides the reference programs, one whose levels mix paths of many bit lengths
+MIXED = parse_program("1: brgeq 4\n2: copy i+\n3: brgeq 1\n4: brgeq 6\n"
+                      "5: halt\n6: add r0 r1 r2\n7: brgeq 1\n8: halt\n")
+
+
 def test_rank_matches_forced_walk():
     # a path's rank is its index in its level, and a walk cut short after
-    # `reached` forced steps lists it while one step fewer does not; besides
-    # the reference programs, one whose levels mix paths of many bit lengths
-    mixed = parse_program("1: brgeq 4\n2: copy i+\n3: brgeq 1\n4: brgeq 6\n"
-                          "5: halt\n6: add r0 r1 r2\n7: brgeq 1\n8: halt\n")
+    # `reached` forced steps lists it while one step fewer does not
     progs = {name: mult_guard_transform(mk()) for name, mk in ALL_PROGRAMS.items()}
-    progs["mixed"] = mixed
+    progs["mixed"] = MIXED
     ranked = 0
     for name, prog in progs.items():
         en = PathEnumerator(prog)
         for steps in range(15):
             for d in (0, 1):
-                for index, p in enumerate(_forced_dfs(prog, d, steps)):
+                for index, p in enumerate(forced_walk(prog, d, steps)):
                     reached, before = en.rank(p.guard_string, steps)
                     assert before == index, (name, steps, d, p.guard_string)
                     assert p in forced_walk(prog, d, steps, [reached])
@@ -168,6 +169,27 @@ def test_rank_matches_forced_walk():
                         assert p not in forced_walk(prog, d, steps, [reached - 1])
                     ranked += 1
     assert ranked == 64 + 130
+
+
+def test_unrank_matches_forced_walk():
+    # a level unranked from the backward count is the level the DFS lists,
+    # and ranking the k-th path of a level gives back k
+    progs = {"mixed": MIXED}
+    for name, mk in ALL_PROGRAMS.items():
+        progs[name], progs[name + "/guarded"] = mk(), mult_guard_transform(mk())
+    listed = 0
+    for name, prog in progs.items():
+        en = PathEnumerator(prog)
+        for d in range(3):
+            for steps in range(15 - d):
+                level = en.exact(d, steps)
+                assert level == forced_walk(prog, d, steps), (name, d, steps)
+                for k, p in enumerate(level):
+                    assert en.rank(p.guard_string, steps)[1] == k, (name, d, steps)
+                listed += len(level)
+        with pytest.raises(IndexError):
+            en.unrank(0, 14, en.halting(14))
+    assert listed == 332
 
 
 def test_desk_scale_path_completeness():
@@ -230,7 +252,7 @@ def test_run_path_none_unless_halting():
                 assert (p is None) == (not res.halted), (prog, x, fuel)
                 if p is not None:
                     assert p == _path_by_steps(prog, (x,), fuel)
-                    assert p in _forced_dfs(prog, 1, res.steps)
+                    assert p in forced_walk(prog, 1, res.steps)
     div = parse_program("1: div r2 r1 r3\n2: halt\n")
     assert run(div, (F(5),), 10).status == "division_by_zero"
     assert run_path(div, (F(5),), 10) is None
