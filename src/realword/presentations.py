@@ -73,6 +73,26 @@ def _shape(v: int) -> tuple[str, int, int]:
     return (g.family, 1 if v > 0 else -1, len(g.index))
 
 
+def _solvable(e: Poly, uv: int) -> bool:
+    """Does `solve_unknown` solve e for its one unknown uv unless a
+    coefficient it divides by is 0?  The walk of `_solve_rec`, on the
+    tree alone."""
+    while e.op != "var":
+        if e.op in ("add", "sub", "mul"):
+            left, right = e.args
+            if uv in left.vars():
+                if uv in right.vars():
+                    return False
+                e = left
+            else:
+                e = right
+        elif e.op == "neg" or e.op == "pow" and e.k == 1:
+            e = e.args[0]
+        else:
+            return False
+    return e.k == uv
+
+
 @dataclass(frozen=True)
 class RelatorSchema:
     """Template relator family: fixed letter shape, polynomial index entries."""
@@ -81,6 +101,9 @@ class RelatorSchema:
     template: tuple[LetterTemplate, ...]
     constraint: Pred = TRUE
     label: str = ""
+    # the match plan, built by the first `match_prefix`; not a field, so
+    # equality, hash, repr and JSON never see it (as with `Poly._vars`)
+    _plan = None
 
     def admits(self, params: Sequence[Fraction]) -> bool:
         return len(params) == self.arity and self.constraint.eval(params)
@@ -91,17 +114,94 @@ class RelatorSchema:
             raise ValueError(f"parameters {params} violate the schema constraint")
         return Word(tuple(lt.instantiate_id(params) for lt in self.template))
 
+    def _match_plan(self) -> tuple[Optional[int], tuple, tuple]:
+        """(full, binds, checks): `_match_fixpoint`'s binding order replayed
+        on the template alone, as if every solve succeeded.
+
+        `binds` lists, in that order, the (letter, entry, variable, expr)
+        that bind a variable, expr None for a bare one; `full` is the letter
+        count at which every variable is bound, None if that never happens;
+        `checks` holds the (letter, entry, expr) of template[:full] that
+        bind nothing.
+        """
+        known: set[int] = set()
+        seen: list[tuple[int, int, Poly]] = []
+        binds = []
+        for L, t in enumerate(self.template):
+            seen += [(L, j, e) for j, e in enumerate(t.index)]
+            progress = True
+            while progress and len(known) < self.arity:
+                progress = False
+                for Lj, j, expr in seen:
+                    if expr.op == "var":
+                        if expr.k not in known:
+                            known.add(expr.k)
+                            binds.append((Lj, j, expr.k, None))
+                            progress = True
+                    else:
+                        free = expr.vars() - known
+                        if len(free) == 1:
+                            (uv,) = free
+                            if _solvable(expr, uv):
+                                known.add(uv)
+                                binds.append((Lj, j, uv, expr))
+                                progress = True
+            if len(known) >= self.arity:
+                bound = {(Lj, j) for Lj, j, _, _ in binds}
+                return (L + 1, tuple(binds),
+                        tuple(x for x in seen if x[:2] not in bound))
+        return None, (), ()
+
     def match_prefix(self, window: Sequence[int]) -> Optional[list[tuple[int, RatVec]]]:
         """Every (L, params) making template[:L] the word of window[:L].
 
         `window` holds signed generator ids whose letters already have the
         shapes of template[:len(window)], so only their indices are read.
-        One walk along it: index entries bind bare variables or are solved
-        one unknown at a time; each binding is forced, so the parameters
-        found once all are bound are the only candidates for every longer
-        prefix, which matches when its observations and the constraint hold
-        at them.  Returns the non-empty matches longest first, or None.
+        Index entries bind bare variables or are solved one unknown at a
+        time; each binding is forced, so the parameters found once all are
+        bound are the only candidates for every longer prefix, which matches
+        when its entries and the constraint hold at them.  The schema's
+        match plan, built on the first call, fixes which entry binds which
+        variable and at which letter all are bound: a shorter window has no
+        match, and a longer one runs the plan's binds, checks the entries
+        that bound nothing and the constraint once, then each longer
+        prefix's entries.  A planned solve that fails (a zero coefficient)
+        leaves that window to `_match_fixpoint`.  Returns the non-empty
+        matches longest first, or None.
         """
+        plan = self._plan
+        if plan is None:
+            plan = self._match_plan()
+            object.__setattr__(self, "_plan", plan)
+        full, binds, checks = plan
+        if full is None or len(window) < full:
+            return None
+        index = [_ID_SYMS[abs(v)].index for v in window]
+        known: dict[int, Fraction] = {}
+        for L, j, k, expr in binds:
+            if expr is None:
+                known[k] = index[L][j]
+            else:
+                got = solve_unknown(expr, index[L][j], known)
+                if got is None:
+                    return self._match_fixpoint(window)
+                known[k] = got[1]
+        params = tuple([known[i] for i in range(self.arity)])
+        for L, j, expr in checks:
+            if expr.eval(params) != index[L][j]:
+                return None
+        if not self.constraint.eval(params):
+            return None
+        hits = [(full, params)]
+        for L in range(full, min(len(window), len(self.template))):
+            if any(e.eval(params) != x for e, x in zip(self.template[L].index, index[L])):
+                break
+            hits.append((L + 1, params))
+        return hits[::-1]
+
+    def _match_fixpoint(self, window: Sequence[int]) -> Optional[list[tuple[int, RatVec]]]:
+        """`match_prefix` without a plan: at each letter, bind and solve
+        until nothing changes."""
         known: dict[int, Fraction] = {}
         seen: list[tuple[Poly, Fraction]] = []
         params = None
@@ -534,32 +634,35 @@ def _window_hits(schema: RelatorSchema, window: tuple[int, ...]) -> tuple[_Hit, 
 
 
 def _goal_moves(ids: tuple[int, ...], heads: _Heads,
-                memo: dict[tuple, tuple[_Hit, ...]]) -> list[_Move]:
+                memos: list[dict[tuple[int, ...], tuple[_Hit, ...]]]) -> list[_Move]:
     """Certificate steps that strictly shorten a word, by prefix matching.
 
-    `ids` is the word and `heads` the search's `_Heads`.  A schema's window
-    at position i ends at the first letter whose shape differs from the
-    template's, or at the template's or the word's end; `memo` maps
-    (schema index, window) to `_window_hits(schema, window)`, a function of
-    the key alone, for the rest of one search.  A move's child is built
-    only when it is shorter than the word, and its certificate entry is
-    `CertEntry(Word(ids[:i]), relator, si, params)`.
+    `ids` is the word and `heads` the search's `_Heads`, whose entry for
+    each letter is read once.  A schema's window at position i ends at the
+    first letter whose shape differs from the template's, or at the
+    template's or the word's end; `memos[si]` maps a window to
+    `_window_hits(schema si, window)`, a function of the window alone, for
+    the rest of one search.  A move's child is built only when it is
+    shorter than the word, and its certificate entry, built only when a
+    proof returns, is `CertEntry(Word(ids[:i]), relator, si, params)`.
     """
     out = []
     n = len(ids)
-    for i, v in enumerate(ids):
+    hs = [heads[v] for v in ids]
+    for i, (_, schemas) in enumerate(hs):
         left = n - i
-        for si, schema, tshapes in heads[v][1]:
+        for si, schema, tshapes in schemas:
             m = 1
             end = len(tshapes)
             if end > left:
                 end = left
-            while m < end and heads[ids[i + m]][0] == tshapes[m]:
+            while m < end and hs[i + m][0] == tshapes[m]:
                 m += 1
-            key = (si, ids[i:i + m])
-            hits = memo.get(key)
+            window = ids[i:i + m]
+            memo = memos[si]
+            hits = memo.get(window)
             if hits is None:
-                hits = memo[key] = _window_hits(schema, key[1])
+                hits = memo[window] = _window_hits(schema, window)
             for L, params, relator, inv_tail in hits:
                 # the child is ids[:a] + inv_tail[k:e] + ids[b:]: ids and
                 # inv_tail are freely reduced, so only the junctions cancel,
@@ -591,7 +694,8 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
     peeling moves first, then the frozen blind (conjugator, relator) dovetail,
     explored in cost order, so a result found at some fuel is returned
     unchanged at any higher fuel.  Every cache it keeps dies with the call,
-    except the presentation's relator record, which it replays exactly.
+    except the presentation's relator record, which it replays exactly, and
+    each schema's match plan, a function of the schema alone.
     """
     if not check_word(p, w):
         raise ValueError("word contains letters outside the generator set")
@@ -611,10 +715,11 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
     # one of them, and () once they are spent, with k re-based to the blind
     # index; so a move list is freed when its last entry moves on, and no
     # table keeps one per popped word.  `chain` is the certificate so far as
-    # linked (entry, parent chain) pairs, None when empty.
+    # linked (c, uids, i, relator, schema index, params, parent chain)
+    # moves, None when empty.
     heap: list[tuple] = [(0, 0, target.ids, None, 0, None)]
     heads = _Heads(p)
-    window_memo: dict[tuple, tuple[_Hit, ...]] = {}
+    window_memos: list[dict] = [{} for _ in p.relators]
     # blind index -> (c, relator, schema index, params, reduced c r^-1 c^-1);
     # only materialized pairs are kept, so a stream short of an index is
     # asked again on the next pop that needs it
@@ -626,7 +731,7 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
             return None
         prio, seq, uids, moves, k, chain = heapq.heappop(heap)
         if moves is None:
-            moves = _goal_moves(uids, heads, window_memo)
+            moves = _goal_moves(uids, heads, window_memos)
         ucost = best.get(uids, prio)
 
         # schedule this state's next move
@@ -641,6 +746,7 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
 
         if k < len(moves):
             i, si, params, rword, ids1 = moves[k]
+            c = None
             edge = 1
         else:
             if not has_blind:
@@ -663,18 +769,21 @@ def wp_semidecide(p: Presentation, w: Word, fuel: int) -> Optional[Certificate]:
             i = None
             edge = 2 + j
 
-        # a duplicate is dropped before its entry and chain are built; the
-        # empty word is never in `best`, so it always reaches the return
+        # a duplicate is dropped before its chain link is built; the empty
+        # word is never in `best`, so it always reaches the return
         ncost = ucost + edge
         old = best.get(ids1)
         if old is not None and old <= ncost:
             continue
-        chain = (CertEntry(c if i is None else Word(uids[:i]), rword, si, params), chain)
+        # the link keeps the raw move: its entry, with the conjugator
+        # c or Word(uids[:i]), is built only when a proof returns
+        chain = (c, uids, i, rword, si, params, chain)
         if not ids1:
             entries = []
             while chain is not None:
-                entry, chain = chain
-                entries.append(entry)
+                c, uids, i, rword, si, params, chain = chain
+                entries.append(CertEntry(c if i is None else Word(uids[:i]),
+                                         rword, si, params))
             return Certificate(tuple(reversed(entries)))
         best[ids1] = ncost
         counter += 1

@@ -65,13 +65,25 @@ class GenSym:
 Letter = tuple[GenSym, int]  # exponent is -1 or +1
 
 # generator interning: id 0 is reserved so that -id is always meaningful;
-# keys are (family, index) pairs so hot paths can skip symbol construction
+# keys are built from (family, index) so hot paths can skip symbol
+# construction
 _SYM_IDS: dict[tuple, int] = {}
 _ID_SYMS: list[Optional[GenSym]] = [None]
 
 
+def _sym_key(family: str, index) -> tuple:
+    """(family, n1, d1, n2, d2, ...): each index entry as its numerator and
+    denominator, so a lookup hashes and compares only ints and strings, and
+    equal entries, an int and an equal Fraction too, give one key."""
+    key = [family]
+    for x in index:
+        key.append(x.numerator)
+        key.append(x.denominator)
+    return tuple(key)
+
+
 def _intern(g: GenSym) -> int:
-    key = (g.family, g.index)
+    key = _sym_key(g.family, g.index)
     gid = _SYM_IDS.get(key)
     if gid is None:
         _ID_SYMS.append(g)
@@ -82,7 +94,7 @@ def _intern(g: GenSym) -> int:
 
 def intern_parts(family: str, index: tuple) -> int:
     """Generator id for (family, index) without building the symbol eagerly."""
-    gid = _SYM_IDS.get((family, index))
+    gid = _SYM_IDS.get(_sym_key(family, index))
     if gid is not None:
         return gid
     return _intern(GenSym(family, index))

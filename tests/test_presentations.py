@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from realword import presentations
+from realword import presentations, selftest
 from realword.predicates import TRUE, eq, is_nat, ne, solve_unknown, var
 from realword.presentations import (ActionRule, ArityMismatch, CertEntry,
                                     Certificate, GenClause, LetterTemplate,
@@ -291,9 +291,9 @@ def test_goal_moves_equal_the_unmemoised_moves(monkeypatch):
     current = {}
     expanded = 0
 
-    def both(ids, heads, memo):
+    def both(ids, heads, memos):
         nonlocal expanded
-        moves = memoised(ids, heads, memo)
+        moves = memoised(ids, heads, memos)
         # the search builds a move's entry and child word only when it is kept
         built = [(CertEntry(Word(ids[:i]), rel, si, params), Word(u1))
                  for i, si, params, rel, u1 in moves]
@@ -322,9 +322,9 @@ def test_match_prefix_equals_the_letter_matcher(monkeypatch):
     expanded = []
     memoised = presentations._goal_moves
 
-    def keep(ids, heads, memo):
+    def keep(ids, heads, memos):
         expanded.append(ids)
-        return memoised(ids, heads, memo)
+        return memoised(ids, heads, memos)
 
     monkeypatch.setattr(presentations, "_goal_moves", keep)
     rng = random.Random(3)
@@ -353,6 +353,79 @@ def test_match_prefix_equals_the_letter_matcher(monkeypatch):
     assert min(cuts.values()) > 100, cuts
 
 
+@pytest.mark.parametrize("seed", [7, 11])
+def test_planned_match_equals_the_fixpoint(monkeypatch, seed):
+    # every window that check 5's searches match at this seed, on every
+    # builtin: the planned match equals the fixpoint and the letter matcher
+    windows = {}
+    window_hits = presentations._window_hits
+
+    def keep(schema, window):
+        # the schema rides along, so its id is not reused while it is a key
+        windows[id(schema), window] = schema
+        return window_hits(schema, window)
+
+    monkeypatch.setattr(presentations, "_window_hits", keep)
+    assert selftest.check_certificate_roundtrip(seed).passed
+    matched = 0
+    for (_, window), schema in windows.items():
+        got = schema.match_prefix(window)
+        assert got == schema._match_fixpoint(window)
+        assert got == _match_prefix_letters(schema, Word(window).letters, 0)
+        matched += got is not None
+    assert len(windows) > 5000 and matched > 1000, (len(windows), matched)
+
+
+def test_failed_planned_solve_falls_back_to_the_fixpoint(monkeypatch):
+    # the plan solves v1 from x(v0 * v1) at the second letter; where v0 is 0
+    # that solve fails, and the fixpoint binds v1 from the third letter
+    schema = RelatorSchema(2, (LetterTemplate("x", 1, (var(0),)),
+                               LetterTemplate("x", 1, (var(0) * var(1),)),
+                               LetterTemplate("x", -1, (var(1),))))
+    fallbacks = []
+    fixpoint = RelatorSchema._match_fixpoint
+
+    def counted(self, window):
+        fallbacks.append(window)
+        return fixpoint(self, window)
+
+    monkeypatch.setattr(RelatorSchema, "_match_fixpoint", counted)
+    planned = parse_word("x(2) . x(6) . x(3)^-1").ids
+    assert schema.match_prefix(planned) == [(3, (F(2), F(3))), (2, (F(2), F(3)))]
+    assert fallbacks == []
+    window = parse_word("x(0) . x(0) . x(5)^-1").ids
+    assert schema.match_prefix(window) == [(3, (F(0), F(5)))]
+    assert fallbacks == [window]
+    assert fixpoint(schema, window) == [(3, (F(0), F(5)))]
+    assert _match_prefix_letters(schema, Word(window).letters, 0) == [(3, (F(0), F(5)))]
+    # a variable only in the constraint, or only in v0 * v0, which is not
+    # solved for v0: the plan never binds every variable, so no window
+    # matches, as in the fixpoint
+    window = parse_word("x(4) . x(2)").ids
+    for tpl in (((var(0),), (var(0),)), ((var(0) * var(0),), (var(1),))):
+        unbound = RelatorSchema(2, tuple(LetterTemplate("x", 1, idx) for idx in tpl),
+                                eq(var(1), 0))
+        assert unbound.match_prefix(window) is None
+        assert fixpoint(unbound, window) is None
+    assert fallbacks == [parse_word("x(0) . x(0) . x(5)^-1").ids]
+
+
+def test_match_plan_is_invisible():
+    # a matched schema compares, hashes, prints and serialises as a fresh
+    # equal one; parsing builds no plan
+    for name in ("circle", "torus", "sl2", "rationals-a", "rationals-b"):
+        p, fresh = BUILTIN_PRESENTATIONS[name](), BUILTIN_PRESENTATIONS[name]()
+        for w in _corpus_identities(name, p, random.Random(4), 2):
+            assert wp_semidecide(p, w, 100_000) is not None
+        assert any(s._plan is not None for s in p.relators)
+        for s, f in zip(p.relators, fresh.relators):
+            assert f._plan is None
+            assert (s, hash(s), repr(s)) == (f, hash(f), repr(f))
+        assert presentation_to_json(p) == presentation_to_json(fresh)
+        parsed = presentation_from_json(presentation_to_json(p))
+        assert parsed == p and all(s._plan is None for s in parsed.relators)
+
+
 # sha256 of the search output below, computed before the search's pops were
 # made cheaper; any change to search order or certificate bytes changes it
 SEARCH_DIGEST = "991056ce2d3d2f8ab6c8e0886525d0960ade59c3f5a2c1812515f3626d8d08aa"
@@ -372,6 +445,30 @@ def test_search_output_is_pinned():
             out = None if cert is None else cert.to_json()
             h.update(json.dumps([name, format_word(w), fuel, out]).encode() + b"\n")
     assert h.hexdigest() == SEARCH_DIGEST
+
+
+def test_refuted_search_builds_no_certificate_entry(monkeypatch):
+    # a chain link keeps the raw move; entries are built only when a proof
+    # returns, so a search that spends its fuel builds none
+    built = []
+
+    class Counted(CertEntry):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(presentations, "CertEntry", Counted)
+    rng = random.Random(8)
+    for name in ("circle", "torus", "sl2", "rationals-a", "rationals-b"):
+        p = BUILTIN_PRESENTATIONS[name]()
+        for w in _corpus_refuted(name, rng, 2):
+            assert wp_semidecide(p, w, 1500) is None
+        assert built == [], name
+        w = _corpus_identities(name, p, rng, 1)[0]
+        cert = wp_semidecide(p, w, 100_000)
+        assert len(built) == len(cert.entries) > 0
+        assert verify_certificate(p, w, cert)
+        built.clear()
 
 
 @pytest.mark.parametrize("name,word", [("torus", "x(1/2) . x(1/3)"),
@@ -517,7 +614,7 @@ def test_relator_answers_do_not_depend_on_the_record(monkeypatch):
 
 def test_goal_move_child_is_sized_before_it_is_built():
     # one-letter schemas x(v0) and x(v0)^-1 match at every position of a word
-    # over x(0) and x(1); a memo filled beforehand gives every match the same
+    # over x(0) and x(1); memos filled beforehand give every match the same
     # inverted tail, so every pair of a reduced word up to length 4 and a
     # reduced tail up to length 3 is tried at every position against the
     # nested join the search made before
@@ -534,8 +631,10 @@ def test_goal_move_child_is_sized_before_it_is_built():
     cases = {"kept": 0, "dropped": 0, "tail cancels whole": 0, "prefix meets suffix": 0}
     for ids in reduced[1:]:
         for inv_tail in (t for t in reduced if len(t) <= 3):
-            memo = {(0 if v > 0 else 1, (v,)): ((1, (), EMPTY, inv_tail),) for v in letters}
-            moves = presentations._goal_moves(ids, heads, memo)
+            hit = ((1, (), EMPTY, inv_tail),)
+            memos = [{(v,): hit for v in letters if v > 0},
+                     {(v,): hit for v in letters if v < 0}]
+            moves = presentations._goal_moves(ids, heads, memos)
             expected = []
             for i in range(len(ids)):
                 child = presentations._concat_ids(

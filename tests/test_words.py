@@ -197,6 +197,22 @@ def test_encoders_intern_like_from_letters():
             assert len(words._ID_SYMS) == interned
 
 
+def test_equal_indices_intern_to_one_id():
+    # interning keys on each entry's numerator and denominator: equal
+    # values, an int and an equal Fraction too, share one id, and no two
+    # indices of different values or lengths share a key
+    n = 3 * 10**6 + 1  # a range no other test draws from
+    a = words.intern_parts("x", (n, F(1, 2)))
+    assert words.intern_parts("x", (F(n), F(2, 4))) == a
+    assert Word.from_letters([(GenSym("x", (n, F(1, 2))), 1)]).ids == (a,)
+    assert parse_word(f"x({n}, 2/4)").ids == (a,)
+    assert words._ID_SYMS[a] == GenSym("x", (F(n), F(1, 2)))
+    others = [("x", (n, F(1, 3))), ("x", (F(n, 2),)), ("x", (n, 1, 2)),
+              ("x", (F(n, 2), 1)), ("y", (n, F(1, 2)))]
+    ids = {a} | {words.intern_parts(f, idx) for f, idx in others}
+    assert len(ids) == 1 + len(others)
+
+
 def test_nielsen_decompose_rejects_malformed_letters():
     # each letter of a pattern word is x(i, s) with i an integer >= lo, or y
     assert nielsen_decompose(parse_word("x(3/2,1)^-1 . y . x(3/2,1)")) is None
