@@ -19,8 +19,9 @@ and `advance` (the next label and copy-registers for a branch outcome):
 
 Computation and copy instructions may additionally increment or reset the
 copy-registers; the assembly accepts optional `i+ i0 j+ j0` suffix tokens
-for that (plain programs never need them).  `step` and `run` drive
-`execute`; forced path enumeration in `slp` drives `advance`.
+for that (plain programs never need them).  `step`, `run` and
+`slp.run_path` drive `execute`; forced path enumeration in `slp` drives
+`advance`.
 
 Register values are exact, so a loop of multiplications can double their
 size every pass: a `mul` or `div` whose result has more than MAX_BITS bits

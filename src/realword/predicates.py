@@ -169,6 +169,34 @@ def _poly(x) -> Poly:
     return x if isinstance(x, Poly) else const(x)
 
 
+def _descent(e: Poly, uv: int) -> Optional[list[Poly]]:
+    """The nodes from e down to the variable uv, e first, when each node on
+    the way is a sum, difference or product with uv in one operand only, a
+    negation or a first power; else None."""
+    path = [e]
+    while e.op != "var":
+        if e.op in ("add", "sub", "mul"):
+            left, right = e.args
+            if uv in left.vars():
+                if uv in right.vars():
+                    return None  # the unknown on both sides: not one-step solvable
+                e = left
+            else:
+                e = right
+        elif e.op == "neg" or e.op == "pow" and e.k == 1:
+            e = e.args[0]
+        else:
+            return None
+        path.append(e)
+    return path if e.k == uv else None
+
+
+def solvable(expr: Poly, uv: int) -> bool:
+    """Does `solve_unknown` solve expr for uv, once uv is its one unknown,
+    unless a coefficient it divides by is 0?"""
+    return _descent(expr, uv) is not None
+
+
 def solve_unknown(expr: Poly, target: Fraction,
                   known: dict[int, Fraction]) -> Optional[tuple[int, Fraction]]:
     """Solve expr(v) == target for the single unknown variable, if possible.
@@ -182,48 +210,28 @@ def solve_unknown(expr: Poly, target: Fraction,
     unknowns = [v for v in expr.vars() if v not in known]
     if len(unknowns) != 1:
         return None
-    val = _solve_rec(expr, target, unknowns[0], known)
-    if val is None:
+    uv = unknowns[0]
+    path = _descent(expr, uv)
+    if path is None:
         return None
-    return unknowns[0], val
-
-
-def _solve_rec(e: Poly, t: Fraction, uv: int,
-               known: dict[int, Fraction]) -> Optional[Fraction]:
-    # value of the unknown uv making e == t; a module-level function, since a
-    # self-referencing closure would leave a reference cycle per solve
-    if e.op == "var":
-        if e.k == uv:
-            return t
-        return None
-    if e.op == "const":
-        return None
-    if e.op == "neg":
-        return _solve_rec(e.args[0], -t, uv, known)
-    if e.op in ("add", "sub", "mul") and all(uv in a.vars() for a in e.args):
-        return None  # the unknown on both sides: not one-step solvable
-    if e.op in ("add", "sub"):
-        left, right = e.args
-        sign = 1 if e.op == "add" else -1
-        if uv in left.vars():
-            rv = right.eval(_env(known))
-            return _solve_rec(left, t - sign * rv, uv, known)
-        lv = left.eval(_env(known))
-        return _solve_rec(right, (t - lv) * sign, uv, known)
-    if e.op == "mul":
-        left, right = e.args
-        if uv in left.vars():
-            rv = right.eval(_env(known))
-            if rv == 0:
+    env = _env(known)
+    t = target
+    # undo each node on the way down, given its operand without the unknown
+    for e, down in zip(path, path[1:]):
+        if e.op == "neg":
+            t = -t
+        elif e.op != "pow":
+            left, right = e.args
+            other = (right if down is left else left).eval(env)
+            if e.op == "add":
+                t -= other
+            elif e.op == "sub":
+                t = t + other if down is left else other - t
+            elif other == 0:
                 return None
-            return _solve_rec(left, t / rv, uv, known)
-        lv = left.eval(_env(known))
-        if lv == 0:
-            return None
-        return _solve_rec(right, t / lv, uv, known)
-    if e.op == "pow" and e.k == 1:
-        return _solve_rec(e.args[0], t, uv, known)
-    return None
+            else:
+                t /= other
+    return uv, t
 
 
 def _env(known: dict[int, Fraction]) -> list[Fraction]:

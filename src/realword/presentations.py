@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .predicates import (Poly, Pred, TRUE, conj, const, eq,
-                         shift_pred, solve_unknown, var)
+                         shift_pred, solvable, solve_unknown, var)
 from .rationals import (RatVec, _nat_tuple, enumerate_vectors, format_rat,
                         parse_rat, quote, unpair, vector_arity)
 from .words import (_ID_SYMS, EMPTY, FAMILIES, GenSym, Word, _concat_ids,
@@ -73,26 +73,6 @@ def _shape(v: int) -> tuple[str, int, int]:
     return (g.family, 1 if v > 0 else -1, len(g.index))
 
 
-def _solvable(e: Poly, uv: int) -> bool:
-    """Does `solve_unknown` solve e for its one unknown uv unless a
-    coefficient it divides by is 0?  The walk of `_solve_rec`, on the
-    tree alone."""
-    while e.op != "var":
-        if e.op in ("add", "sub", "mul"):
-            left, right = e.args
-            if uv in left.vars():
-                if uv in right.vars():
-                    return False
-                e = left
-            else:
-                e = right
-        elif e.op == "neg" or e.op == "pow" and e.k == 1:
-            e = e.args[0]
-        else:
-            return False
-    return e.k == uv
-
-
 @dataclass(frozen=True)
 class RelatorSchema:
     """Template relator family: fixed letter shape, polynomial index entries."""
@@ -114,38 +94,48 @@ class RelatorSchema:
             raise ValueError(f"parameters {params} violate the schema constraint")
         return Word(tuple(lt.instantiate_id(params) for lt in self.template))
 
-    def _match_plan(self) -> tuple[Optional[int], tuple, tuple]:
-        """(full, binds, checks): `_match_fixpoint`'s binding order replayed
-        on the template alone, as if every solve succeeded.
+    def _bind(self, window: Optional[Sequence[int]] = None) -> tuple:
+        """(full, binds, checks): the binding fixpoint, on the template alone
+        (window None) or on window's index values.
 
-        `binds` lists, in that order, the (letter, entry, variable, expr)
-        that bind a variable, expr None for a bare one; `full` is the letter
-        count at which every variable is bound, None if that never happens;
-        `checks` holds the (letter, entry, expr) of template[:full] that
-        bind nothing.
+        At each letter, index entries bind bare variables or are solved one
+        unknown at a time until nothing changes.  On the template a solve
+        succeeds wherever `solvable` says it can, on a window wherever
+        `solve_unknown` returns a value.  `binds` lists, in that order, the
+        (letter, entry, variable, expr) that bind a variable, expr None for a
+        bare one; `full` is the letter count at which every variable is
+        bound, None if that never happens; `checks` holds the (letter,
+        entry, expr) of template[:full] that bind nothing.
         """
-        known: set[int] = set()
+        tpl = self.template
+        if window is not None:
+            index = [_ID_SYMS[abs(v)].index for v in window]
+            tpl = tpl[:len(window)]
+        known: dict[int, Optional[Fraction]] = {}
         seen: list[tuple[int, int, Poly]] = []
         binds = []
-        for L, t in enumerate(self.template):
+        for L, t in enumerate(tpl):
             seen += [(L, j, e) for j, e in enumerate(t.index)]
             progress = True
             while progress and len(known) < self.arity:
                 progress = False
                 for Lj, j, expr in seen:
-                    if expr.op == "var":
+                    val = None if window is None else index[Lj][j]
+                    if expr.op == "var":  # a bare variable binds directly
                         if expr.k not in known:
-                            known.add(expr.k)
+                            known[expr.k] = val
                             binds.append((Lj, j, expr.k, None))
                             progress = True
-                    else:
-                        free = expr.vars() - known
-                        if len(free) == 1:
-                            (uv,) = free
-                            if _solvable(expr, uv):
-                                known.add(uv)
-                                binds.append((Lj, j, uv, expr))
-                                progress = True
+                    elif len(free := expr.vars() - known.keys()) == 1:
+                        (uv,) = free
+                        if window is None:
+                            got = (uv, None) if solvable(expr, uv) else None
+                        else:
+                            got = solve_unknown(expr, val, known)
+                        if got is not None:
+                            known[uv] = got[1]
+                            binds.append((Lj, j, uv, expr))
+                            progress = True
             if len(known) >= self.arity:
                 bound = {(Lj, j) for Lj, j, _, _ in binds}
                 return (L + 1, tuple(binds),
@@ -157,22 +147,25 @@ class RelatorSchema:
 
         `window` holds signed generator ids whose letters already have the
         shapes of template[:len(window)], so only their indices are read.
-        Index entries bind bare variables or are solved one unknown at a
-        time; each binding is forced, so the parameters found once all are
-        bound are the only candidates for every longer prefix, which matches
-        when its entries and the constraint hold at them.  The schema's
-        match plan, built on the first call, fixes which entry binds which
-        variable and at which letter all are bound: a shorter window has no
-        match, and a longer one runs the plan's binds, checks the entries
-        that bound nothing and the constraint once, then each longer
-        prefix's entries.  A planned solve that fails (a zero coefficient)
-        leaves that window to `_match_fixpoint`.  Returns the non-empty
-        matches longest first, or None.
+        Each binding is forced, so the parameters found once all variables
+        are bound are the only candidates for every longer prefix, which
+        matches when its entries and the constraint hold at them.  The
+        schema's plan is `_bind` on the template, run by the first call.
+        Returns the non-empty matches longest first, or None.
         """
         plan = self._plan
         if plan is None:
-            plan = self._match_plan()
+            plan = self._bind()
             object.__setattr__(self, "_plan", plan)
+        return self._run(plan, window)
+
+    def _run(self, plan: tuple, window: Sequence[int]) -> Optional[list[tuple[int, RatVec]]]:
+        """`match_prefix` by a `_bind` result: a shorter window than `full`
+        has no match, and a longer one runs the binds, checks the entries
+        that bound nothing and the constraint once, then each longer
+        prefix's entries.  A planned solve that fails (a zero coefficient)
+        binds again on the window's own values, where every solve the
+        result runs has just succeeded."""
         full, binds, checks = plan
         if full is None or len(window) < full:
             return None
@@ -184,7 +177,7 @@ class RelatorSchema:
             else:
                 got = solve_unknown(expr, index[L][j], known)
                 if got is None:
-                    return self._match_fixpoint(window)
+                    return self._run(self._bind(window), window)
                 known[k] = got[1]
         params = tuple([known[i] for i in range(self.arity)])
         for L, j, expr in checks:
@@ -198,41 +191,6 @@ class RelatorSchema:
                 break
             hits.append((L + 1, params))
         return hits[::-1]
-
-    def _match_fixpoint(self, window: Sequence[int]) -> Optional[list[tuple[int, RatVec]]]:
-        """`match_prefix` without a plan: at each letter, bind and solve
-        until nothing changes."""
-        known: dict[int, Fraction] = {}
-        seen: list[tuple[Poly, Fraction]] = []
-        params = None
-        hits = []
-        for L, (t, v) in enumerate(zip(self.template, window), 1):
-            obs = tuple(zip(t.index, _ID_SYMS[abs(v)].index))
-            if params is None:
-                seen.extend(obs)
-                progress = True
-                while progress and len(known) < self.arity:
-                    progress = False
-                    for expr, val in seen:
-                        if expr.op == "var":  # a bare variable binds directly
-                            if expr.k not in known:
-                                known[expr.k] = val
-                                progress = True
-                        elif len(expr.vars() - known.keys()) == 1:
-                            got = solve_unknown(expr, val, known)
-                            if got is not None:
-                                known[got[0]] = got[1]
-                                progress = True
-                if len(known) < self.arity:
-                    continue
-                params = tuple([known[i] for i in range(self.arity)])
-                if not (all(expr.eval(params) == val for expr, val in seen)
-                        and self.constraint.eval(params)):
-                    return None
-            elif any(expr.eval(params) != val for expr, val in obs):
-                break
-            hits.append((L, params))
-        return hits[::-1] or None
 
     def match(self, w: Word) -> Optional[RatVec]:
         """Parameters of which w is the instance, or None."""

@@ -125,10 +125,6 @@ class Word:
     def ids(self) -> tuple[int, ...]:
         return self._ids
 
-    def is_reduced(self) -> bool:
-        ids = self._ids
-        return all(ids[i] != -ids[i + 1] for i in range(len(ids) - 1))
-
     def __len__(self):
         return len(self._ids)
 

@@ -1,9 +1,13 @@
 import dataclasses
 import gc
 import json
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from realword.presentations import presentation_from_json, presentation_to_json
 from realword.rationals import QUOTE_LIMIT
@@ -13,7 +17,10 @@ from realword.predicates import (FALSE, MAX_POW_EXPONENT, TRUE, Poly, Pred,
                                  conj, const, disj, eq, ge, gt, is_int,
                                  is_nat, le, lt, ne,
                                  negate, shift_poly, shift_pred,
-                                 solve_unknown, var)
+                                 solvable, solve_unknown, var)
+
+# as in test_fuzz: Hypothesis's cache stays out of the checkout
+set_hypothesis_home_dir(Path(tempfile.gettempdir(), "realword-hypothesis"))
 
 
 def test_poly_eval():
@@ -79,6 +86,34 @@ def test_solve_unknown_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+small_rats = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+polys = st.recursive(
+    st.one_of(small_rats.map(const), st.integers(0, 2).map(var)),
+    lambda kids: st.one_of(
+        st.builds(Poly, st.sampled_from(["add", "sub", "mul"]), st.tuples(kids, kids)),
+        kids.map(lambda a: -a),
+        st.builds(lambda a, k: a ** k, kids, st.integers(0, 3))),
+    max_leaves=8)
+
+
+@settings(database=None, derandomize=True, max_examples=500, deadline=None)
+@given(polys, small_rats, st.lists(small_rats, min_size=3, max_size=3),
+       st.data())
+def test_solve_rule_agrees_with_solvable(e, target, values, data):
+    # every variable but uv is known: where the shape is not solvable for
+    # uv, no known values make it so, and a returned value solves e == target
+    uv = data.draw(st.sampled_from(sorted(e.vars()) or [0]))
+    known = {i: x for i, x in enumerate(values) if i != uv}
+    got = solve_unknown(e, target, known)
+    if not solvable(e, uv):
+        assert got is None
+    if got is not None:
+        assert got[0] == uv
+        env = list(values)
+        env[uv] = got[1]
+        assert e.eval(env) == target
 
 
 def test_shift_vars():

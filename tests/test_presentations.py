@@ -24,7 +24,7 @@ from realword.sample_groups import (BUILTIN_PRESENTATIONS,
                                     circle_presentation, sl2_presentation,
                                     torus_presentation)
 from realword.selftest import _corpus_identities, _corpus_refuted
-from realword.words import (EMPTY, GenSym, Word, concat, format_word,
+from realword.words import (_ID_SYMS, EMPTY, GenSym, Word, concat, format_word,
                             intern_parts, invert, parse_word)
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -103,6 +103,59 @@ def _match_prefix_letters(schema: RelatorSchema, letters, start: int):
             break
         hits.append((L, params))
     return hits[::-1] or None
+
+
+# the binding fixpoint `match_prefix` ran at every window before it kept a
+# plan per schema, kept as the reference for its planned and fallback runs
+def _match_fixpoint(schema: RelatorSchema, window):
+    """`match_prefix` without a plan: at each letter, bind and solve until
+    nothing changes."""
+    known = {}
+    seen = []
+    params = None
+    hits = []
+    for L, (t, v) in enumerate(zip(schema.template, window), 1):
+        obs = tuple(zip(t.index, _ID_SYMS[abs(v)].index))
+        if params is None:
+            seen.extend(obs)
+            progress = True
+            while progress and len(known) < schema.arity:
+                progress = False
+                for expr, val in seen:
+                    if expr.op == "var":  # a bare variable binds directly
+                        if expr.k not in known:
+                            known[expr.k] = val
+                            progress = True
+                    elif len(expr.vars() - known.keys()) == 1:
+                        got = solve_unknown(expr, val, known)
+                        if got is not None:
+                            known[got[0]] = got[1]
+                            progress = True
+            if len(known) < schema.arity:
+                continue
+            params = tuple([known[i] for i in range(schema.arity)])
+            if not (all(expr.eval(params) == val for expr, val in seen)
+                    and schema.constraint.eval(params)):
+                return None
+        elif any(expr.eval(params) != val for expr, val in obs):
+            break
+        hits.append((L, params))
+    return hits[::-1] or None
+
+
+def _count_fallbacks(monkeypatch) -> list:
+    """The windows that `_bind` is run on from now on: those where a
+    planned solve met a zero coefficient."""
+    fallbacks = []
+    bind = RelatorSchema._bind
+
+    def counted(self, window=None):
+        if window is not None:
+            fallbacks.append(window)
+        return bind(self, window)
+
+    monkeypatch.setattr(RelatorSchema, "_bind", counted)
+    return fallbacks
 
 
 def test_match_prefix_returns_every_matching_prefix():
@@ -370,7 +423,7 @@ def test_planned_match_equals_the_fixpoint(monkeypatch, seed):
     matched = 0
     for (_, window), schema in windows.items():
         got = schema.match_prefix(window)
-        assert got == schema._match_fixpoint(window)
+        assert got == _match_fixpoint(schema, window)
         assert got == _match_prefix_letters(schema, Word(window).letters, 0)
         matched += got is not None
     assert len(windows) > 5000 and matched > 1000, (len(windows), matched)
@@ -382,14 +435,8 @@ def test_failed_planned_solve_falls_back_to_the_fixpoint(monkeypatch):
     schema = RelatorSchema(2, (LetterTemplate("x", 1, (var(0),)),
                                LetterTemplate("x", 1, (var(0) * var(1),)),
                                LetterTemplate("x", -1, (var(1),))))
-    fallbacks = []
-    fixpoint = RelatorSchema._match_fixpoint
-
-    def counted(self, window):
-        fallbacks.append(window)
-        return fixpoint(self, window)
-
-    monkeypatch.setattr(RelatorSchema, "_match_fixpoint", counted)
+    fallbacks = _count_fallbacks(monkeypatch)
+    fixpoint = _match_fixpoint
     planned = parse_word("x(2) . x(6) . x(3)^-1").ids
     assert schema.match_prefix(planned) == [(3, (F(2), F(3))), (2, (F(2), F(3)))]
     assert fallbacks == []
@@ -408,6 +455,44 @@ def test_failed_planned_solve_falls_back_to_the_fixpoint(monkeypatch):
         assert unbound.match_prefix(window) is None
         assert fixpoint(unbound, window) is None
     assert fallbacks == [parse_word("x(0) . x(0) . x(5)^-1").ids]
+
+
+def test_builtin_schemas_fall_back_where_a_planned_solve_meets_zero(monkeypatch):
+    # windows of every builtin schema's shapes, their entries drawn from a
+    # small set holding 0, so planned solves meet zero coefficients (as
+    # rationals-b's rescale does at x(0,q)); planned and fallback runs both
+    # equal the fixpoint and the letter matcher
+    from realword.reduction import extension_presentation
+    fallbacks = _count_fallbacks(monkeypatch)
+    rng = random.Random(29)
+    values = (F(0), F(0), F(1), F(-1), F(2), F(1, 2))
+    windows = matched = rescued = 0
+    for p in [mk() for mk in BUILTIN_PRESENTATIONS.values()] + [extension_presentation()]:
+        for schema in p.relators:
+            for _ in range(40):
+                ids = list(schema.instantiate(
+                    [rng.choice(values) for _ in range(schema.arity)], check=False).ids)
+                if ids and rng.random() < 0.5:
+                    # one entry of one letter moved to another small value
+                    L = rng.randrange(len(ids))
+                    g = _ID_SYMS[abs(ids[L])]
+                    if g.index:
+                        index = list(g.index)
+                        index[rng.randrange(len(index))] = rng.choice(values)
+                        gid = intern_parts(g.family, tuple(index))
+                        ids[L] = gid if ids[L] > 0 else -gid
+                for m in range(len(ids) + 1):
+                    window = tuple(ids[:m])
+                    before = len(fallbacks)
+                    got = schema.match_prefix(window)
+                    assert got == _match_fixpoint(schema, window), (schema.label, window)
+                    assert got == _match_prefix_letters(schema, Word(window).letters, 0)
+                    windows += 1
+                    matched += got is not None
+                    # the fallback found the match that the plan could not
+                    rescued += got is not None and len(fallbacks) > before
+    assert windows > 5000 and matched > 1000, (windows, matched)
+    assert len(fallbacks) > 100 and rescued > 0, (len(fallbacks), rescued)
 
 
 def test_match_plan_is_invisible():
