@@ -243,25 +243,6 @@ def qgroup_presentation() -> Presentation:
     return Presentation("qgroup", 1, (gen,), _sym((scale, shift)))
 
 
-def qgroup_normalize(r) -> list[Word]:
-    """The rewrite chain x_r -> x_(q r) -> x_0 for rational r = p/q.
-
-    Returns the intermediate single-letter words (empty for r = 0): first a
-    natural rescale by the denominator, then an integer shift to zero.  On
-    this package's all-rational domain every generator normalizes, which is
-    exactly the membership statement the group encodes.
-    """
-    r = Fraction(r)
-    if r == 0:
-        return []
-    chain = [Word.from_letters([(GenSym("x", (r,)), 1)])]
-    q = r.denominator
-    if q != 1:
-        chain.append(Word.from_letters([(GenSym("x", (Fraction(r * q),)), 1)]))
-    chain.append(Word.from_letters([(GenSym("x", (Fraction(0),)), 1)]))
-    return chain
-
-
 BUILTIN_PRESENTATIONS = {
     "circle": circle_presentation,
     "torus": torus_presentation,

@@ -289,24 +289,21 @@ def _corpus_identities(name: str, p: Presentation, rng: random.Random, count: in
     return out
 
 
+def _letter(name: str, rng: random.Random, u_share: float):
+    """A random generator letter of the named group; in sl2 it is a
+    translation u(s) with probability u_share, else v."""
+    if name == "torus" or name == "rationals-a":
+        return GenSym("x", (_small_rat(rng),)), rng.choice((1, -1))
+    if name == "rationals-b":
+        return (GenSym("x", (Fraction(rng.randint(-5, 5)), Fraction(rng.randint(1, 5)))),
+                rng.choice((1, -1)))
+    if name == "circle":
+        return GenSym("x", _ray(rng)), rng.choice((1, -1))
+    return u_word(_small_rat(rng)) if rng.random() < u_share else v_word()
+
+
 def _conjugator(name: str, rng: random.Random) -> Word:
-    n = rng.randint(0, 2)
-    letters = []
-    for _ in range(n):
-        if name == "torus" or name == "rationals-a":
-            letters.append((GenSym("x", (_small_rat(rng),)), rng.choice((1, -1))))
-        elif name == "rationals-b":
-            letters.append((GenSym("x", (Fraction(rng.randint(-5, 5)),
-                                         Fraction(rng.randint(1, 5)))),
-                            rng.choice((1, -1))))
-        elif name == "circle":
-            letters.append((GenSym("x", _ray(rng)), rng.choice((1, -1))))
-        else:  # sl2
-            if rng.random() < 0.5:
-                letters.append(u_word(_small_rat(rng)))
-            else:
-                letters.append(v_word())
-    return Word.from_letters(letters)
+    return Word.from_letters([_letter(name, rng, 0.5) for _ in range(rng.randint(0, 2))])
 
 
 def _ray(rng: random.Random) -> tuple[Fraction, Fraction]:
@@ -391,22 +388,8 @@ def _corpus_refuted(name: str, rng: random.Random, count: int):
     oracle = ORACLES[name]
     out = []
     while len(out) < count:
-        if name in ("torus", "rationals-a"):
-            letters = [(GenSym("x", (_small_rat(rng),)), rng.choice((1, -1)))
-                       for _ in range(rng.randint(1, 4))]
-        elif name == "rationals-b":
-            letters = [(GenSym("x", (Fraction(rng.randint(-5, 5)),
-                                     Fraction(rng.randint(1, 5)))),
-                        rng.choice((1, -1))) for _ in range(rng.randint(1, 4))]
-        elif name == "circle":
-            letters = [(GenSym("x", _ray(rng)), rng.choice((1, -1)))
-                       for _ in range(rng.randint(1, 3))]
-        else:
-            letters = []
-            for _ in range(rng.randint(1, 4)):
-                letters.append(u_word(_small_rat(rng)) if rng.random() < 0.7
-                               else v_word())
-        w = free_reduce(Word.from_letters(letters))
+        n = rng.randint(1, 3 if name == "circle" else 4)
+        w = free_reduce(Word.from_letters([_letter(name, rng, 0.7) for _ in range(n)]))
         if len(w) == 0:
             continue
         try:

@@ -297,36 +297,25 @@ def span_decide(w: Word, member: Callable[[Word], bool],
 
 # -- conjugate pattern words ---------------------------------------------------
 
-def _pattern_ids(vec: Sequence, lo: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # returns (ids of the conjugator tail x_(lo,v_lo)...x_(hi,v_hi), id of y)
+def _pattern_word(vec: Sequence, lo: int) -> Word:
+    """x_(k,v_k)^-1 ... x_(lo,v_lo)^-1 . y . x_(lo,v_lo) ... x_(k,v_k), the
+    entries of vec placed on registers lo, lo + 1, ... in order."""
     tail = tuple(intern_parts("x", (Fraction(lo + i),
                                     v if type(v) is Fraction else Fraction(v)))
                  for i, v in enumerate(vec))
-    return tail, (intern_parts("y", ()),)
+    return Word(tuple(-g for g in reversed(tail)) + (intern_parts("y", ()),) + tail)
 
 
 def encode_w(vec: Sequence) -> Word:
     """The pattern word x_(k,r_k)^-1 ... x_(1,r_1)^-1 . y . x_(1,r_1) ... x_(k,r_k)."""
-    tail, y = _pattern_ids(vec, 1)
-    return Word(tuple(-g for g in reversed(tail)) + y + tail)
+    return _pattern_word(vec, 1)
 
 
 def encode_w_tagged(n: int, vec: Sequence) -> Word:
     """Pattern word with the tag x_(0,n) inserted innermost on both sides."""
     if n < 0:
         raise ValueError("tag must be a natural number")
-    tail, y = _pattern_ids((n, *vec), 0)
-    return Word(tuple(-g for g in reversed(tail)) + y + tail)
-
-
-def _x_parts(gen: GenSym, lo: int) -> Optional[tuple[int, Fraction]]:
-    # an x generator with index (i, s), i an integer >= lo
-    if gen.family != "x" or len(gen.index) != 2:
-        return None
-    i, s = gen.index
-    if i.denominator != 1 or i.numerator < lo:
-        return None
-    return i.numerator, s
+    return _pattern_word((n, *vec), 0)
 
 
 def nielsen_decompose(w: Word, lo: int = 1) -> Optional[list[tuple[int, RatVec]]]:
@@ -336,98 +325,53 @@ def nielsen_decompose(w: Word, lo: int = 1) -> Optional[list[tuple[int, RatVec]]
     correspondingly oriented pattern words.  The decomposition is unique
     because the pattern words freely generate their span.  `lo` is the lowest
     register index in the pattern (0 for tagged words).
+
+    One scan over the reduced ids reads each factor as three runs: what
+    stands of its inverted conjugator (x letters to the power -1 whose
+    register indices fall to lo), its middle letter (the unindexed y or
+    y^-1), and what stands of its conjugator (x letters matching its vector
+    from the bottom).  Where a junction cancels letters, the factor keeps the
+    previous vector's top entries above its own standing run; the first
+    factor is read after an empty previous vector.
     """
     ids = _reduce_ids(w._ids)
-    if not ids:
-        return []
-    letters = [(_ID_SYMS[v], 1) if v > 0 else (_ID_SYMS[-v], -1) for v in ids]
-    y_positions = [p for p, (g, _) in enumerate(letters) if g.family == "y"]
-    if not y_positions:
-        return None
-
-    # leading segment: the full inverted conjugator of the first factor
-    first: list[Fraction] = []
-    expect = None
-    for p in range(y_positions[0]):
-        gen, exp = letters[p]
-        parts = _x_parts(gen, lo)
-        if parts is None or exp != -1:
+    y = intern_parts("y", ())
+    syms = _ID_SYMS
+    n = len(ids)
+    out: list[tuple[int, RatVec]] = []
+    vec: RatVec = ()
+    stood = 0  # letters of the last factor's conjugator that stand
+    p = 0
+    while p < n:
+        run = []  # indices of the standing inverted conjugator
+        while p < n and abs(ids[p]) != y:
+            g = syms[-ids[p]] if ids[p] < 0 else None
+            if g is None or g.family != "x" or len(g.index) != 2:
+                return None
+            run.append(g.index)
+            p += 1
+        top = lo + len(run) - 1
+        if p == n or any(i != top - j for j, (i, _) in enumerate(run)):
             return None
-        i, s = parts
-        if expect is None:
-            expect = i
-        elif i != expect:
-            return None
-        expect = i - 1
-        first.append(s)
-    if expect is not None and expect != lo - 1:
-        return None
-    first.reverse()
-    vec = tuple(first)
-
-    out: list[tuple[int, RatVec]] = [(letters[y_positions[0]][1], vec)]
-    for m, yp in enumerate(y_positions):
-        nxt = y_positions[m + 1] if m + 1 < len(y_positions) else None
-        seg = letters[yp + 1:nxt if nxt is not None else len(letters)]
-        k = lo + len(vec) - 1
-
-        # ascending run of positive letters matching the current conjugator
-        c1 = 0
-        while c1 < len(seg) and c1 < len(vec):
-            gen, exp = seg[c1]
-            parts = _x_parts(gen, lo)
-            if exp != 1 or parts is None:
+        if stood < len(vec) and len(run) != stood:
+            return None  # the junction cut the conjugator elsewhere
+        vec = tuple([s for _, s in reversed(run)]) + vec[stood:]
+        out.append((1 if ids[p] == y else -1, vec))
+        p += 1
+        stood = 0
+        while stood < len(vec) and p < n and ids[p] > 0:
+            g = syms[ids[p]]
+            if g.family != "x" or g.index != (lo + stood, vec[stood]):
                 break
-            i, s = parts
-            if i != lo + c1 or s != vec[c1]:
-                break
-            c1 += 1
-
-        if nxt is None:
-            # last factor: its conjugator must be fully present, nothing after
-            if c1 == len(vec) and len(seg) == c1:
-                return out
-            return None
-
-        # descending run of negative letters: visible part of the next factor
-        neg: list[tuple[int, Fraction]] = []
-        pos = c1
-        expect = None
-        while pos < len(seg):
-            gen, exp = seg[pos]
-            parts = _x_parts(gen, lo)
-            if parts is None or exp != -1:
-                return None
-            i, s = parts
-            if expect is not None and i != expect:
-                return None
-            expect = i - 1
-            neg.append((i, s))
-            pos += 1
-        if expect is not None and expect != lo - 1:
-            return None
-
-        hidden = len(vec) - c1  # letters cancelled across the junction
-        if hidden == 0:
-            nvec = tuple(s for _, s in reversed(neg))
-        else:
-            top = neg[0][0] if neg else lo - 1
-            if top != lo + c1 - 1:
-                return None
-            nvec = tuple(s for _, s in reversed(neg)) + vec[c1:]
-        vec = nvec
-        out.append((letters[nxt][1], vec))
-    return out
+            stood += 1
+            p += 1
+    return out if stood == len(vec) else None
 
 
 def pattern_product(decomp: Iterable[tuple[int, RatVec]], lo: int = 1) -> Word:
-    """Re-multiply a decomposition; inverse of nielsen_decompose."""
-    acc = EMPTY
+    """Re-multiply a decomposition; inverse of nielsen_decompose at every lo."""
+    pieces = []
     for exp, vec in decomp:
-        if lo == 0:
-            n = vec[0]
-            piece = encode_w_tagged(int(n), vec[1:])
-        else:
-            piece = encode_w(vec)
-        acc = concat(acc, piece if exp == 1 else invert(piece))
-    return acc
+        piece = _pattern_word(vec, lo)
+        pieces.append(piece if exp == 1 else invert(piece))
+    return concat(*pieces)

@@ -94,6 +94,16 @@ def test_hnn_reduce(capsys):
     assert "identity=True" in out
 
 
+def test_hnn_reduce_keeps_an_indexed_y_out_of_the_halfline_subgroup(capsys):
+    # y(9) is no pattern word, so t does not commute with its conjugate
+    word = "t . x(1,0)^-1 . y(9) . x(1,0) . t^-1 . x(1,0)^-1 . y(9)^-1 . x(1,0)"
+    assert main(["hnn-reduce", "--structure", "halfline", "--word", word]) == 0
+    assert capsys.readouterr().out == f"reduced={word}  identity=False\n"
+    pattern = word.replace("y(9)", "y")
+    assert main(["hnn-reduce", "--structure", "halfline", "--word", pattern]) == 0
+    assert capsys.readouterr().out == "reduced=1  identity=True\n"
+
+
 def test_hnn_reduce_stops_before_a_power_past_the_cap(capsys):
     # each bs12 pinch of t . a^k . t^-1 doubles k, so t^30 . a . t^-30 would
     # reduce to 2^30 letters; the first power over the cap is never built

@@ -127,6 +127,9 @@ def test_u_handle():
     assert not uh.member_within(encode_w((F(0),)), 2000)
     assert uh.member_within(EMPTY, 1)
     assert not uh.member_within(parse_word("x(1,1)"), 1000)
+    # an indexed y is no pattern word, not even for a program that accepts all
+    assert not assemble_u(halt_program()).member_within(parse_word("y(5)"), 100)
+    assert assemble_u(halt_program()).member_within(parse_word("y"), 100)
 
 
 def test_u_handle_tagged():

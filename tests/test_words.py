@@ -229,6 +229,10 @@ def test_nielsen_decompose_rejects_malformed_letters():
         parse_word("x(2,1)^-1 . y . x(1,1)^-1 . y . x(1,1) . x(2,1)")) is None
     assert nielsen_decompose(
         parse_word("x(2,5)^-1 . x(1,3)^-1 . y . x(1,3) . y . x(2,5)")) is None
+    # a factor's middle letter is the unindexed y
+    assert nielsen_decompose(parse_word("y(5)")) is None
+    assert nielsen_decompose(parse_word("x(1,2)^-1 . y(1,2) . x(1,2)")) is None
+    assert nielsen_decompose(parse_word("x(0,2)^-1 . y(0) . x(0,2)"), lo=0) is None
 
 
 def test_nielsen_decompose_junction_cancellation():
@@ -250,33 +254,185 @@ def test_nielsen_freeness():
         assert free_reduce(concat(encode_w(r), invert(encode_w(s)))) != EMPTY
 
 
+# the parser before the single scan over ids, kept as the reference for
+# `nielsen_decompose`; it takes any letter of family y as a factor's middle
+def _x_parts(gen, lo):
+    # an x generator with index (i, s), i an integer >= lo
+    if gen.family != "x" or len(gen.index) != 2:
+        return None
+    i, s = gen.index
+    if i.denominator != 1 or i.numerator < lo:
+        return None
+    return i.numerator, s
+
+
+def reference_decompose(w, lo=1):
+    ids = words._reduce_ids(w.ids)
+    if not ids:
+        return []
+    letters = [(words._ID_SYMS[v], 1) if v > 0 else (words._ID_SYMS[-v], -1) for v in ids]
+    y_positions = [p for p, (g, _) in enumerate(letters) if g.family == "y"]
+    if not y_positions:
+        return None
+
+    # leading segment: the full inverted conjugator of the first factor
+    first = []
+    expect = None
+    for p in range(y_positions[0]):
+        gen, exp = letters[p]
+        parts = _x_parts(gen, lo)
+        if parts is None or exp != -1:
+            return None
+        i, s = parts
+        if expect is None:
+            expect = i
+        elif i != expect:
+            return None
+        expect = i - 1
+        first.append(s)
+    if expect is not None and expect != lo - 1:
+        return None
+    first.reverse()
+    vec = tuple(first)
+
+    out = [(letters[y_positions[0]][1], vec)]
+    for m, yp in enumerate(y_positions):
+        nxt = y_positions[m + 1] if m + 1 < len(y_positions) else None
+        seg = letters[yp + 1:nxt if nxt is not None else len(letters)]
+        k = lo + len(vec) - 1
+
+        # ascending run of positive letters matching the current conjugator
+        c1 = 0
+        while c1 < len(seg) and c1 < len(vec):
+            gen, exp = seg[c1]
+            parts = _x_parts(gen, lo)
+            if exp != 1 or parts is None:
+                break
+            i, s = parts
+            if i != lo + c1 or s != vec[c1]:
+                break
+            c1 += 1
+
+        if nxt is None:
+            # last factor: its conjugator must be fully present, nothing after
+            if c1 == len(vec) and len(seg) == c1:
+                return out
+            return None
+
+        # descending run of negative letters: visible part of the next factor
+        neg = []
+        pos = c1
+        expect = None
+        while pos < len(seg):
+            gen, exp = seg[pos]
+            parts = _x_parts(gen, lo)
+            if parts is None or exp != -1:
+                return None
+            i, s = parts
+            if expect is not None and i != expect:
+                return None
+            expect = i - 1
+            neg.append((i, s))
+            pos += 1
+        if expect is not None and expect != lo - 1:
+            return None
+
+        hidden = len(vec) - c1  # letters cancelled across the junction
+        if hidden == 0:
+            nvec = tuple(s for _, s in reversed(neg))
+        else:
+            top = neg[0][0] if neg else lo - 1
+            if top != lo + c1 - 1:
+                return None
+            nvec = tuple(s for _, s in reversed(neg)) + vec[c1:]
+        vec = nvec
+        out.append((letters[nxt][1], vec))
+    return out
+
+
+ENTRIES = (F(0), F(1), F(-1), F(1, 2), F(-3, 2), F(4))
+
+
+def random_decomp(rng):
+    # up to five factors over a few entries: repeated factors, empty
+    # vectors, and neighbours sharing top entries, which cancel at the junction
+    decomp = []
+    for _ in range(rng.randint(1, 5)):
+        exp = rng.choice((1, -1))
+        pick = rng.random()
+        if decomp and pick < 0.15:
+            exp, vec = decomp[-1]
+        elif decomp and pick < 0.5:
+            prev = decomp[-1][1]
+            cut = rng.randint(0, len(prev))
+            vec = tuple(rng.choice(ENTRIES) for _ in range(cut)) + prev[cut:]
+        else:
+            vec = tuple(rng.choice(ENTRIES) for _ in range(rng.randint(0, 3)))
+        if decomp and decomp[-1] == (-exp, vec):
+            continue
+        decomp.append((exp, vec))
+    return decomp
+
+
+def mutate(rng, ids, lo):
+    # one id deleted, sign-flipped, inserted, or replaced by a stray letter:
+    # an x letter off the registers, or an indexed y
+    p = rng.randrange(len(ids) + 1)
+    what = rng.randrange(4)
+    if what == 0 and p < len(ids):
+        return ids[:p] + ids[p + 1:]
+    if what == 1 and p < len(ids):
+        return ids[:p] + (-ids[p],) + ids[p + 1:]
+    if what == 2:
+        pool = ids + (words.intern_parts("y", ()), words.intern_parts("x", (lo, 1)))
+        return ids[:p] + (rng.choice((1, -1)) * abs(rng.choice(pool)),) + ids[p:]
+    s = rng.choice(ENTRIES)
+    i = lo + rng.randint(0, 3)
+    index = rng.choice(((lo - 1, s), (i + F(1, 2), s), (s,), (i, s, 0), (i + 1, s)))
+    family = "y" if rng.random() < 0.2 else "x"
+    stray = rng.choice((1, -1)) * words.intern_parts(family, index)
+    return ids[:p] + (stray,) + ids[p + 1:]
+
+
 def test_decompose_roundtrip():
+    # the single scan equals the reference on every word with no indexed y,
+    # and re-multiplying any decomposition gives the reduced word back
     rng = random.Random(7)
-    done = 0
-    while done < 1000:
-        decomp = []
-        for _ in range(rng.randint(1, 6)):
-            exp = rng.choice((1, -1))
-            vec = tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
-                        for _ in range(rng.randint(0, 3)))
-            if decomp and decomp[-1] == (-exp, vec):
-                continue
-            decomp.append((exp, vec))
-        w = pattern_product(decomp)
-        got = nielsen_decompose(w)
-        assert got is not None
-        assert pattern_product(got) == w
-        # one x letter with a non-integer, a too-low or a missing register
-        # index makes the word no product of pattern words
-        xs = [p for p, (g, _) in enumerate(w.letters) if g.family == "x"]
-        if xs:
-            p = rng.choice(xs)
-            letters = list(w.letters)
-            (g, e), (i, s) = letters[p], letters[p][0].index
-            for index in ((i + F(1, 2), s), (F(0), s), (s,)):
-                letters[p] = (GenSym("x", index), e)
-                assert nielsen_decompose(Word.from_letters(letters)) is None
-        done += 1
+    y = words.intern_parts("y", ())
+    indexed_y = lambda ids: any(words._ID_SYMS[abs(v)].family == "y" and abs(v) != y
+                                for v in ids)
+    for lo in (0, 1):
+        done = decomposed = 0
+        while done < 50_000:
+            decomp = random_decomp(rng)
+            w = pattern_product(decomp, lo)
+            got = nielsen_decompose(w, lo)
+            assert got == reference_decompose(w, lo)
+            assert got is not None
+            assert pattern_product(got, lo) == w
+            # one x letter with a non-integer, a too-low or a missing register
+            # index makes the word no product of pattern words
+            xs = [p for p, (g, _) in enumerate(w.letters) if g.family == "x"]
+            if xs and done < 2000:
+                p = rng.choice(xs)
+                letters = list(w.letters)
+                (g, e), (i, s) = letters[p], letters[p][0].index
+                for index in ((i + F(1, 2), s), (F(lo - 1), s), (s,)):
+                    letters[p] = (GenSym("x", index), e)
+                    assert nielsen_decompose(Word.from_letters(letters), lo) is None
+            done += 1
+            if rng.random() < 0.6:
+                m = Word(mutate(rng, w.ids, lo))
+                got = nielsen_decompose(m, lo)
+                if indexed_y(m.ids):
+                    assert got is None
+                else:
+                    assert got == reference_decompose(m, lo)
+                if got is not None:
+                    assert pattern_product(got, lo) == free_reduce(m)
+                    decomposed += 1
+                done += 1
+        assert decomposed > 1000
 
 
 def test_tagged_decompose():
@@ -284,6 +440,12 @@ def test_tagged_decompose():
     got = nielsen_decompose(w, lo=0)
     assert got == [(1, (F(2), F(1))), (1, (F(3), F(1)))]
     assert pattern_product(got, lo=0) == w
+    # the builder takes a tag as it stands, natural or not
+    for tag in ("5/2", "-1"):
+        w = parse_word(f"x(0,{tag})^-1 . y . x(0,{tag})")
+        got = nielsen_decompose(w, lo=0)
+        assert got == [(1, (F(tag),))]
+        assert pattern_product(got, lo=0) == w
 
 
 def test_span_decide():
